@@ -15,7 +15,6 @@ from .bounds import (
 from .census import (
     CLASS_COUNTS,
     CensusRow,
-    census_dimension,
     enumerate_tournaments,
     run_census,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "banks_tournament",
     "brute_force_sat",
     "canonical_form",
-    "census_dimension",
     "check_k_majority",
     "classify",
     "cli_dispatch",

@@ -1,11 +1,11 @@
 """Exhaustive enumeration of small tournaments and dimension censuses.
 
-Unlabeled tournaments are generated by canonical augmentation: every
-canonical (n-1)-vertex tournament is extended by one new vertex in all
-2^(n-1) ways and a child is kept exactly when its isomorphism class has
-not been produced before.  Dimension censuses then run a bounded
-inducibility check per class, re-verifying every negative answer with a
-second, independently encoded solver run.
+Unlabeled tournaments are generated level by level: every kept
+(n-1)-vertex tournament is extended by one new vertex in all 2^(n-1)
+ways, and a child is kept exactly when its ``canonical_form`` is not yet
+in the set of forms seen at that level.  Dimension censuses then run a
+bounded inducibility check per class, re-verifying every negative answer
+with a second, independently encoded solver run.
 """
 
 from __future__ import annotations
@@ -145,11 +145,3 @@ def run_census(
         "failures": [r.canonical_key for r in rows if r.inducible is None],
     }
     return summary, rows
-
-
-def census_dimension(
-    n: int, k: int, jobs: int = 1, timeout: float | None = None
-) -> dict:
-    """Aggregate k-inducibility counts over all n-vertex classes."""
-    summary, _ = run_census(n, k, jobs=jobs, timeout=timeout)
-    return summary

@@ -11,6 +11,7 @@ can be overridden through the MAJDIM_SAT_SOLVER environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -40,7 +41,7 @@ from .gadgets import (
     teq_tournament,
 )
 from .preflib import parse_preflib
-from .profiles import induces, profile_from_text, profile_to_text
+from .profiles import induces, majority_digraph, profile_from_text, profile_to_text
 from .solver import SolverError
 from .transforms import ThreeCnf, to_ordered3, to_reducedfew
 
@@ -57,8 +58,9 @@ class UsageError(ValueError):
 def _load_graph(path: str) -> Digraph | WeightedDigraph:
     """Read a digraph file, dispatching on arc-line shape.
 
-    PrefLib files (.soc/.wmg and friends) are accepted too; a profile
-    file yields its weighted majority margins.
+    PrefLib files (.soc/.wmg and friends) are accepted too; an order
+    file yields the majority digraph of its profile, a .wmg file its
+    weighted margins.
     """
     p = Path(path)
     if not p.exists():
@@ -67,9 +69,7 @@ def _load_graph(path: str) -> Digraph | WeightedDigraph:
         parsed = parse_preflib(p)
         if isinstance(parsed, WeightedDigraph):
             return parsed
-        from .profiles import weighted_majority
-
-        return weighted_majority(parsed)
+        return majority_digraph(parsed)
     text = p.read_text()
     rows = [ln.split() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if len(rows) > 1 and len(rows[1]) == 3:
@@ -279,6 +279,7 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_NO
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="majdim",

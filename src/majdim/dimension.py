@@ -15,19 +15,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .digraph import (
-    Digraph,
-    UndirectedGraph,
-    classify,
-    decompose,
-    incomparability_graph,
-    transitive_orientation,
-)
+from .digraph import Digraph, UndirectedGraph, decompose, transitive_orientation
 from .encoding import ModelInconsistencyError, decode_model, encode_check_k
+from .gadgets import two_voter_orders
 from .profiles import Profile, induces
 from .solver import solve
 
-METHODS = ("fast_path_1", "fast_path_2", "decomposition", "sat", "two_partition")
+METHODS = ("fast_path_1", "fast_path_2", "decomposition", "sat")
 
 
 class SolverTimeout(RuntimeError):
@@ -74,7 +68,6 @@ def check_k_majority(
     k: int,
     mode: str = "optimized",
     timeout: float | None = None,
-    symmetry_break_voters: bool = False,
 ) -> Profile | None:
     """Decide whether some k-voter profile induces g.
 
@@ -82,9 +75,7 @@ def check_k_majority(
     parity-legal for g (odd for tournaments, even otherwise).  A solver
     timeout raises SolverTimeout rather than guessing.
     """
-    formula, vm = encode_check_k(
-        g, k, mode=mode, symmetry_break_voters=symmetry_break_voters
-    )
+    formula, vm = encode_check_k(g, k, mode=mode)
     result = solve(formula, timeout=timeout)
     if result.status == "timeout":
         raise SolverTimeout(
@@ -105,9 +96,7 @@ def is_2_inducible(g: Digraph) -> bool:
     transitive orientation: the two voters agree on every arc and are
     opposed on a transitive reorientation of the incomparable pairs.
     """
-    if not classify(g).transitive:
-        return False
-    return transitive_orientation(incomparability_graph(g)) is not None
+    return two_voter_orders(g) is not None
 
 
 _TWO_PARTITION_ARC_CAP = 21
@@ -199,9 +188,7 @@ def dimension(
     g: Digraph,
     max_k: int = 9,
     use_decomposition: bool = False,
-    mode: str = "optimized",
     timeout: float | None = None,
-    symmetry_break_voters: bool = False,
 ) -> DimensionResult:
     """Compute the majority dimension of g, searching k <= max_k.
 
@@ -221,10 +208,9 @@ def dimension(
     if not tournament:
         if max_k < 2:
             return DimensionResult(None, None, None, max_k=max_k)
-        if is_2_inducible(g):
-            from .gadgets import two_voter_profile
-
-            return DimensionResult(2, "fast_path_2", two_voter_profile(g))
+        orders = two_voter_orders(g)
+        if orders is not None:
+            return DimensionResult(2, "fast_path_2", Profile.of(g.n, *orders))
         start = 4
     else:
         start = 3
@@ -233,40 +219,20 @@ def dimension(
         if len(parts.components) > 1 and any(
             len(c) > 1 for c in parts.components
         ):
-            return _decomposition_dimension(
-                g, parts, max_k, mode, timeout, symmetry_break_voters
-            )
+            return _decomposition_dimension(g, parts, max_k, timeout)
     for k in range(start, max_k + 1, 2):
-        witness = check_k_majority(
-            g,
-            k,
-            mode=mode,
-            timeout=timeout,
-            symmetry_break_voters=symmetry_break_voters,
-        )
+        witness = check_k_majority(g, k, timeout=timeout)
         if witness is not None:
             return DimensionResult(k, "sat", witness)
     return DimensionResult(None, None, None, max_k=max_k)
 
 
 def _decomposition_dimension(
-    g: Digraph,
-    parts,
-    max_k: int,
-    mode: str,
-    timeout: float | None,
-    symmetry_break_voters: bool,
+    g: Digraph, parts, max_k: int, timeout: float | None
 ) -> DimensionResult:
     pieces = [g.induced(c) for c in parts.components] + [parts.summary]
     results = [
-        dimension(
-            piece,
-            max_k,
-            use_decomposition=True,
-            mode=mode,
-            timeout=timeout,
-            symmetry_break_voters=symmetry_break_voters,
-        )
+        dimension(piece, max_k, use_decomposition=True, timeout=timeout)
         for piece in pieces
     ]
     if any(not r.is_known for r in results):

@@ -162,9 +162,7 @@ def _encode_faithful(g: Digraph, k: int) -> tuple[CnfFormula, VarMap]:
     return CnfFormula(num_vars=num_vars, clauses=tuple(clauses)), vm
 
 
-def _encode_optimized(
-    g: Digraph, k: int, symmetry_break_voters: bool
-) -> tuple[CnfFormula, VarMap]:
+def _encode_optimized(g: Digraph, k: int) -> tuple[CnfFormula, VarMap]:
     n = g.n
     m = majority_threshold(k)
     pairs = comb(n, 2)
@@ -196,33 +194,13 @@ def _encode_optimized(
             at_least(k // 2, x, y)
             at_least(k // 2, y, x)
 
-    if symmetry_break_voters and k > 1 and pairs > 0:
-        order = list(itertools.combinations(range(n), 2))
-        for i in range(k - 1):
-            xs = [vm_lit(i, a, b) for a, b in order]
-            ys = [vm_lit(i + 1, a, b) for a, b in order]
-            clauses.append((xs[0], -ys[0]))
-            prev_eq = None
-            for j in range(1, pairs):
-                eq = next_var
-                next_var += 1
-                clauses.append((-eq, -xs[j - 1], ys[j - 1]))
-                clauses.append((-eq, xs[j - 1], -ys[j - 1]))
-                if prev_eq is not None:
-                    clauses.append((-eq, prev_eq))
-                clauses.append((-eq, xs[j], -ys[j]))
-                prev_eq = eq
-
     num_vars = next_var - 1
     vm = VarMap(n=n, k=k, mode="optimized", num_vars=num_vars)
     return CnfFormula(num_vars=num_vars, clauses=tuple(clauses)), vm
 
 
 def encode_check_k(
-    g: Digraph,
-    k: int,
-    mode: str = "optimized",
-    symmetry_break_voters: bool = False,
+    g: Digraph, k: int, mode: str = "optimized"
 ) -> tuple[CnfFormula, VarMap]:
     """Encode "is g the majority digraph of some k-voter profile" as CNF.
 
@@ -230,16 +208,14 @@ def encode_check_k(
     one via decode_model.  k must have the parity forced by g: odd for
     tournaments, even otherwise (a ParityError is raised if not, since no
     profile of the wrong parity can produce the required strict majorities
-    and ties).  symmetry_break_voters adds lexicographic ordering chains
-    between consecutive voters (optimized mode only); it prunes permutations
-    of the same profile without affecting satisfiability.
+    and ties).
     """
     if mode not in MODES:
         raise ValueError("unknown mode %r" % (mode,))
     _check_parity(g, k)
     if mode == "paper_faithful":
         return _encode_faithful(g, k)
-    return _encode_optimized(g, k, symmetry_break_voters)
+    return _encode_optimized(g, k)
 
 
 def decode_model(

@@ -54,25 +54,39 @@ class GadgetOutput:
             raise ValueError("witness profile does not induce the gadget graph")
 
 
+def two_voter_orders(e: Digraph) -> tuple[list[int], list[int]] | None:
+    """Two orders whose majority is exactly ``e``, or None if none exist.
+
+    ``e`` is 2-inducible exactly when it is transitive and its
+    incomparability graph has a transitive orientation.  Given a transitive
+    reorientation E' of the incomparable pairs, both E u E' and E u conv(E')
+    are transitive tournaments; the two corresponding orders agree
+    precisely on E.
+    """
+    if not e.is_transitive():
+        return None
+    reorient = transitive_orientation(incomparability_graph(e))
+    if reorient is None:
+        return None
+    first = Digraph.from_arcs(e.n, e.arcs() + reorient.arcs())
+    second = Digraph.from_arcs(e.n, e.arcs() + reorient.converse().arcs())
+    return first.topological_order(), second.topological_order()
+
+
 def two_voter_profile(e: Digraph) -> Profile:
     """Two voters whose majority is exactly ``e``, every arc at margin 2.
 
-    Requires ``e`` to be transitive with a transitively orientable
-    incomparability graph.  Given a transitive reorientation E' of the
-    incomparable pairs, both E u E' and E u conv(E') are transitive
-    tournaments; the two corresponding orders agree precisely on E.
+    Requires ``e`` to be 2-inducible; see ``two_voter_orders``.
     """
-    if not e.is_transitive():
-        raise ValueError("arc set is not transitive, hence not 2-inducible")
-    reorient = transitive_orientation(incomparability_graph(e))
-    if reorient is None:
+    orders = two_voter_orders(e)
+    if orders is None:
+        if not e.is_transitive():
+            raise ValueError("arc set is not transitive, hence not 2-inducible")
         raise ValueError(
             "incomparability graph of the arc set has no transitive "
             "orientation, hence the arc set is not 2-inducible"
         )
-    first = Digraph.from_arcs(e.n, e.arcs() + reorient.arcs())
-    second = Digraph.from_arcs(e.n, e.arcs() + reorient.converse().arcs())
-    return Profile.of(e.n, first.topological_order(), second.topological_order())
+    return Profile.of(e.n, *orders)
 
 
 def _first_conflict(e1: Digraph, e2: Digraph) -> tuple[int, int] | None:

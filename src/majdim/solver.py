@@ -2,10 +2,10 @@
 
 Any solver that reads a DIMACS CNF file argument and prints
 ``s SATISFIABLE`` / ``s UNSATISFIABLE`` plus ``v`` model lines works as a
-backend.  Resolution order: explicit ``command`` argument, the
-``MAJDIM_SAT_SOLVER`` environment variable (shell-style, may include
-arguments), then the bundled CDCL solver, which is compiled from the
-shipped C source on first use and cached under ``~/.cache/majdim``.
+backend.  The ``MAJDIM_SAT_SOLVER`` environment variable (shell-style, may
+include arguments) names one; otherwise the bundled CDCL solver is used,
+which is compiled from the shipped C source on first use and cached under
+``~/.cache/majdim``.
 """
 
 from __future__ import annotations
@@ -72,20 +72,16 @@ def bundled_solver_path() -> Path:
     return binary
 
 
-def backend_command(command=None) -> list[str]:
-    if command is not None:
-        return list(command) if not isinstance(command, str) else shlex.split(command)
+def backend_command() -> list[str]:
     env = os.environ.get(ENV_BACKEND)
     if env:
         return shlex.split(env)
     return [str(bundled_solver_path())]
 
 
-def solve(
-    f: CnfFormula, timeout: float | None = None, command=None
-) -> SolveResult:
+def solve(f: CnfFormula, timeout: float | None = None) -> SolveResult:
     """Run the backend on ``f``.  TIMEOUT is a result, not an error."""
-    cmd = backend_command(command)
+    cmd = backend_command()
     if not shutil.which(cmd[0]) and not Path(cmd[0]).exists():
         raise SolverError("SAT backend %r not found" % cmd[0])
     with tempfile.NamedTemporaryFile(

@@ -4,7 +4,6 @@ import pytest
 
 from majdim import (
     CLASS_COUNTS,
-    census_dimension,
     enumerate_tournaments,
     run_census,
 )
@@ -58,5 +57,5 @@ def test_census_parallel_matches_serial():
 
 
 def test_census_dimension_summary():
-    out = census_dimension(4, 3)
+    out = run_census(4, 3)[0]
     assert out == {"inducible": 4, "not_inducible": 0, "failures": []}

@@ -4,15 +4,25 @@
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import majdim
 from majdim import (
+    CultureSpec,
     Digraph,
+    Profile,
     check_k_majority,
     cli_dispatch,
     dimension,
     induces,
+    majority_digraph,
+    sample,
+    serialize_preflib_orders,
 )
 from majdim.digraph import digraph_to_text
 from majdim.profiles import profile_from_text
@@ -82,6 +92,17 @@ def test_dim_rejects_weighted_input(tmp_path, capsys):
     wg = tmp_path / "w.wdg"
     wg.write_text("2 1\n0 1 3\n")
     assert cli_dispatch(["dim", "--graph", str(wg)]) == 2
+
+
+def test_dim_reads_preflib_orders(tmp_path, capsys):
+    profile = sample(CultureSpec("ic", n=6, voters=5, seed=1))
+    election = tmp_path / "e.soc"
+    election.write_text(serialize_preflib_orders(profile))
+    assert cli_dispatch(["dim", "--graph", str(election)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    witness = Profile.of(6, *record["witness"])
+    assert witness.k == record["dim"]
+    assert induces(witness, majority_digraph(profile))
 
 
 def test_missing_file_is_usage_error(tmp_path):
@@ -237,3 +258,26 @@ def test_check_exit_codes_agree_with_library(tmp_path, capsys):
         capsys.readouterr()
         expected = 0 if check_k_majority(g, k) is not None else 1
         assert code == expected
+
+
+_RUNTIME_IMPORTS = """
+import sys
+before = set(sys.modules)
+import majdim
+majdim.cli_dispatch(["bounds", "--k", "3"])
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(sorted(loaded - set(sys.stdlib_module_names) - {"majdim"}))
+"""
+
+
+def test_runtime_imports_only_the_standard_library():
+    src = str(Path(majdim.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUNTIME_IMPORTS],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    assert proc.stdout.splitlines() == ["18", "[]"]
