@@ -263,7 +263,7 @@ def _cmd_transform(args) -> int:
             "ordered": g.is_ordered,
             "reduced_few": g.is_reduced_few,
         },
-        None if args.out else args.out,
+        None,
     )
     return EXIT_OK
 
@@ -364,9 +364,6 @@ def cli_dispatch(argv: list[str]) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -202,55 +202,45 @@ def transitive_orientation(h: UndirectedGraph) -> Digraph | None:
     of some edge means no transitive orientation exists.
     """
     n = h.n
-    cur = list(h.adj)  # adjacency of the not-yet-oriented part
-    arcs: list[tuple[int, int]] = []
-
-    def orient_class(a: int, b: int) -> bool:
-        direction: dict[tuple[int, int], int] = {}
-
-        def record(x: int, y: int) -> bool:
-            # returns False on conflict, True if newly recorded
-            key, d = ((x, y), 1) if x < y else ((y, x), -1)
-            old = direction.get(key)
-            if old is None:
-                direction[key] = d
-                return True
-            if old != d:
-                raise _Contradiction
-            return False
-
-        try:
-            record(a, b)
-            stack = [(a, b)]
-            while stack:
-                x, y = stack.pop()
-                for c in _bits(cur[x] & ~h.adj[y] & ~(1 << y)):
-                    if record(x, c):
-                        stack.append((x, c))
-                for c in _bits(cur[y] & ~h.adj[x] & ~(1 << x)):
-                    if record(c, y):
-                        stack.append((c, y))
-        except _Contradiction:
-            return False
-        for (u, v), d in direction.items():
-            arcs.append((u, v) if d == 1 else (v, u))
-            cur[u] &= ~(1 << v)
-            cur[v] &= ~(1 << u)
-        return True
-
+    adj = h.adj
+    cur = list(adj)  # adjacency of the not-yet-oriented part
+    out = [0] * n  # arcs oriented so far, as out- and in-neighbour masks
+    into = [0] * n
     for u in range(n):
         while cur[u]:
             v = (cur[u] & -cur[u]).bit_length() - 1
-            if not orient_class(u, v):
-                return None
-    oriented = Digraph.from_arcs(n, arcs)
+            out[u] |= 1 << v
+            into[v] |= 1 << u
+            stack = [(u, v)]
+            touched = [u, v]
+            while stack:
+                x, y = stack.pop()
+                forced = cur[x] & ~adj[y] & ~(1 << y)
+                if forced & into[x]:
+                    return None
+                forced &= ~out[x]
+                out[x] |= forced
+                for c in _bits(forced):
+                    into[c] |= 1 << x
+                    stack.append((x, c))
+                    touched.append(c)
+                forced = cur[y] & ~adj[x] & ~(1 << x)
+                if forced & out[y]:
+                    return None
+                forced &= ~into[y]
+                into[y] |= forced
+                for c in _bits(forced):
+                    out[c] |= 1 << y
+                    stack.append((c, y))
+                    touched.append(c)
+            # clear the class only once it closes: clearing its edges
+            # earlier would hide forcings that conflict with them
+            for w in touched:
+                cur[w] &= ~(out[w] | into[w])
+    oriented = Digraph(n, tuple(out))
     if not oriented.is_transitive():
         return None
     return oriented
-
-
-class _Contradiction(Exception):
-    pass
 
 
 def orientation_compatible(e1: Digraph, e2: Digraph) -> bool:

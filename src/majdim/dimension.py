@@ -210,7 +210,10 @@ def dimension(
             return DimensionResult(None, None, None, max_k=max_k)
         orders = two_voter_orders(g)
         if orders is not None:
-            return DimensionResult(2, "fast_path_2", Profile.of(g.n, *orders))
+            witness = Profile.of(g.n, *orders)
+            if not induces(witness, g):
+                raise ModelInconsistencyError("2-voter witness does not induce input")
+            return DimensionResult(2, "fast_path_2", witness)
         start = 4
     else:
         start = 3

@@ -68,8 +68,10 @@ def two_voter_orders(e: Digraph) -> tuple[list[int], list[int]] | None:
     reorient = transitive_orientation(incomparability_graph(e))
     if reorient is None:
         return None
-    first = Digraph.from_arcs(e.n, e.arcs() + reorient.arcs())
-    second = Digraph.from_arcs(e.n, e.arcs() + reorient.converse().arcs())
+    first = Digraph(e.n, tuple(a | b for a, b in zip(e.rows, reorient.rows)))
+    second = Digraph(
+        e.n, tuple(a | b for a, b in zip(e.rows, reorient.in_masks()))
+    )
     return first.topological_order(), second.topological_order()
 
 
@@ -147,6 +149,23 @@ def _order_closure(order) -> Digraph:
     )
 
 
+def _certified(graph, decision_vertex, blocks, completion=None) -> GadgetOutput:
+    """Certify ``graph`` by two voters per block plus the completion voter.
+
+    The trace names the blocks E1..Ek in order, then the completion.
+    """
+    witness = combine_blocks([two_voter_profile(e) for e in blocks], completion)
+    trace = tuple(("E%d" % i, e) for i, e in enumerate(blocks, start=1))
+    if completion is not None:
+        trace += (("completion", _order_closure(completion)),)
+    return GadgetOutput(
+        graph=graph,
+        decision_vertex=decision_vertex,
+        witness=witness,
+        block_trace=trace,
+    )
+
+
 def _certify_completion(graph: Digraph, covered, completion) -> None:
     """Check that every arc outside ``covered`` runs forward in ``completion``.
 
@@ -196,6 +215,63 @@ def _literal_exception_arcs(u_ids, labels) -> set[tuple[int, int]]:
     return arcs
 
 
+def _require_ordered(f: ThreeCnf) -> None:
+    if not f.is_ordered:
+        raise ValueError(
+            "formula must be ordered: three literals per clause and, for "
+            "each variable, positive occurrences before negative ones"
+        )
+    if not f.clauses:
+        raise ValueError("formula needs at least one clause")
+
+
+def _chassis_blocks(f: ThreeCnf, spacing: int):
+    """Positions, vertex count, blocks and literal exception arcs.
+
+    Triples sit at odd positions and singletons at even ones; the triple
+    at every ``spacing``-th position from 1 carries the next clause's
+    literals.
+    """
+    m = spacing * (len(f.clauses) - 1) + 1
+    n = m + 1
+    u_ids: list[list[int]] = [[]]  # position 0 carries no block
+    labels: dict[int, int] = {}
+    for i in range(1, m + 1):
+        ids = [n, n + 1, n + 2] if i % 2 == 1 else [n]
+        if (i - 1) % spacing == 0:
+            labels.update(zip(ids, f.clauses[(i - 1) // spacing]))
+        n += len(ids)
+        u_ids.append(ids)
+    return m, n, u_ids, _literal_exception_arcs(u_ids, labels)
+
+
+def _chassis_arcs(m: int, u_ids, skip) -> set[tuple[int, int]]:
+    """Arcs between clause vertices and blocks, bar the reverses of ``skip``.
+
+    Callers add their own arcs to the returned set in place: a union into
+    a new set would hold two copies of tens of thousands of arcs at once.
+    """
+    arcs: set[tuple[int, int]] = set()
+    for j in range(m + 1):  # later clause vertices beat earlier ones
+        for i in range(j):
+            arcs.add((j, i))
+    for i in range(1, m + 1):  # earlier blocks beat later ones, bar skip
+        for j in range(i + 1, m + 1):
+            for a in u_ids[i]:
+                for b in u_ids[j]:
+                    if (b, a) not in skip:
+                        arcs.add((a, b))
+    for i in range(m + 1):  # clause vertices beat every foreign block
+        for j in range(1, m + 1):
+            if i != j:
+                for b in u_ids[j]:
+                    arcs.add((i, b))
+    for i in range(1, m + 1):  # but lose to their own block
+        for a in u_ids[i]:
+            arcs.add((a, i))
+    return arcs
+
+
 def banks_tournament(f: ThreeCnf) -> GadgetOutput:
     """Tournament whose Banks-set membership question encodes ``f``.
 
@@ -207,78 +283,26 @@ def banks_tournament(f: ThreeCnf) -> GadgetOutput:
     the clause vertices in descending position followed by the U blocks in
     ascending position.
     """
-    if not f.is_ordered:
-        raise ValueError(
-            "formula must be ordered: three literals per clause and, for "
-            "each variable, positive occurrences before negative ones"
-        )
-    if not f.clauses:
-        raise ValueError("formula needs at least one clause")
-    m = 2 * len(f.clauses) - 1
-
-    n = m + 1
-    u_ids: list[list[int]] = [[]]  # position 0 carries no block
-    labels: dict[int, int] = {}
-    for i in range(1, m + 1):
-        if i % 2 == 1:
-            clause = f.clauses[(i - 1) // 2]
-            ids = [n, n + 1, n + 2]
-            for vid, lit in zip(ids, clause):
-                labels[vid] = lit
-            n += 3
-        else:
-            ids = [n]
-            n += 1
-        u_ids.append(ids)
-
-    phi = _literal_exception_arcs(u_ids, labels)
-    arcs: set[tuple[int, int]] = set(phi)
-    for j in range(m + 1):  # later clause vertices beat earlier ones
-        for i in range(j):
-            arcs.add((j, i))
-    for i in range(1, m + 1):  # earlier blocks beat later ones, bar phi
-        for j in range(i + 1, m + 1):
-            for a in u_ids[i]:
-                for b in u_ids[j]:
-                    if (b, a) not in phi:
-                        arcs.add((a, b))
+    _require_ordered(f)
+    m, n, u_ids, phi = _chassis_blocks(f, 2)
+    arcs = _chassis_arcs(m, u_ids, phi)
+    arcs |= phi
     for i in range(1, m + 1):  # transitive triple inside each block
         ids = u_ids[i]
         for a in range(len(ids)):
             for b in range(a + 1, len(ids)):
                 arcs.add((ids[a], ids[b]))
-    for i in range(m + 1):  # clause vertices beat every foreign block
-        for j in range(1, m + 1):
-            if i != j:
-                for b in u_ids[j]:
-                    arcs.add((i, b))
-    for i in range(1, m + 1):  # but lose to their own block
-        for a in u_ids[i]:
-            arcs.add((a, i))
-    graph = Digraph.from_arcs(n, sorted(arcs))
+    graph = Digraph.from_arcs(n, arcs)
 
     e1 = Digraph.from_arcs(
         n, [(a, i) for i in range(1, m + 1) for a in u_ids[i]]
     )
-    e2 = Digraph.from_arcs(n, sorted(phi))
+    e2 = Digraph.from_arcs(n, phi)
     completion = list(range(m, -1, -1))
     for i in range(1, m + 1):
         completion.extend(u_ids[i])
     _certify_completion(graph, (e1, e2), completion)
-
-    witness = combine_blocks(
-        [two_voter_profile(e1), two_voter_profile(e2)], tuple(completion)
-    )
-    return GadgetOutput(
-        graph=graph,
-        decision_vertex=0,
-        witness=witness,
-        block_trace=(
-            ("E1", e1),
-            ("E2", e2),
-            ("completion", _order_closure(completion)),
-        ),
-    )
+    return _certified(graph, 0, [e1, e2], completion)
 
 
 def teq_tournament(f: ThreeCnf) -> GadgetOutput:
@@ -291,32 +315,8 @@ def teq_tournament(f: ThreeCnf) -> GadgetOutput:
     labeled triple two positions earlier on all mixed-superscript pairs.
     The certifying profile has 7 voters.
     """
-    if not f.is_ordered:
-        raise ValueError(
-            "formula must be ordered: three literals per clause and, for "
-            "each variable, positive occurrences before negative ones"
-        )
-    if not f.clauses:
-        raise ValueError("formula needs at least one clause")
-    m = 4 * len(f.clauses) - 3
-
-    n = m + 1
-    u_ids: list[list[int]] = [[]]
-    labels: dict[int, int] = {}
-    for i in range(1, m + 1):
-        if i % 2 == 1:
-            ids = [n, n + 1, n + 2]
-            n += 3
-            if i % 4 == 1:
-                clause = f.clauses[(i - 1) // 4]
-                for vid, lit in zip(ids, clause):
-                    labels[vid] = lit
-        else:
-            ids = [n]
-            n += 1
-        u_ids.append(ids)
-
-    phi = _literal_exception_arcs(u_ids, labels)
+    _require_ordered(f)
+    m, n, u_ids, phi = _chassis_blocks(f, 4)
     link: set[tuple[int, int]] = set()  # unlabeled triple beats its upstream
     for i in range(3, m + 1, 4):
         for a in range(3):
@@ -324,30 +324,14 @@ def teq_tournament(f: ThreeCnf) -> GadgetOutput:
                 if a != b:
                     link.add((u_ids[i][a], u_ids[i - 2][b]))
 
-    arcs: set[tuple[int, int]] = set(phi) | set(link)
-    for j in range(m + 1):
-        for i in range(j):
-            arcs.add((j, i))
     skip = phi | link
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            for a in u_ids[i]:
-                for b in u_ids[j]:
-                    if (b, a) not in skip:
-                        arcs.add((a, b))
+    arcs = _chassis_arcs(m, u_ids, skip)
+    arcs |= skip
     for i in range(1, m + 1):  # 3-cycle inside each triple
         ids = u_ids[i]
         if len(ids) == 3:
             arcs.update([(ids[0], ids[1]), (ids[1], ids[2]), (ids[2], ids[0])])
-    for i in range(m + 1):
-        for j in range(1, m + 1):
-            if i != j:
-                for b in u_ids[j]:
-                    arcs.add((i, b))
-    for i in range(1, m + 1):
-        for a in u_ids[i]:
-            arcs.add((a, i))
-    graph = Digraph.from_arcs(n, sorted(arcs))
+    graph = Digraph.from_arcs(n, arcs)
 
     # first block: every clause vertex beats everything at lower positions,
     # each triple's third token beats its first, and each unlabeled triple's
@@ -366,30 +350,15 @@ def teq_tournament(f: ThreeCnf) -> GadgetOutput:
         e1_arcs.append((u_ids[i][0], u_ids[i - 2][1]))
         e1_arcs.append((u_ids[i][2], u_ids[i - 2][1]))
     e1 = Digraph.from_arcs(n, e1_arcs)
-    e2 = Digraph.from_arcs(n, sorted(phi))
-    e3 = Digraph.from_arcs(n, sorted(link - set(e1.arcs())))
+    e2 = Digraph.from_arcs(n, phi)
+    e3 = Digraph.from_arcs(n, link - set(e1.arcs()))
 
     completion = [0]
     for i in range(1, m + 1):
         completion.extend(u_ids[i])
         completion.append(i)
     _certify_completion(graph, (e1, e2, e3), completion)
-
-    witness = combine_blocks(
-        [two_voter_profile(e1), two_voter_profile(e2), two_voter_profile(e3)],
-        tuple(completion),
-    )
-    return GadgetOutput(
-        graph=graph,
-        decision_vertex=0,
-        witness=witness,
-        block_trace=(
-            ("E1", e1),
-            ("E2", e2),
-            ("E3", e3),
-            ("completion", _order_closure(completion)),
-        ),
-    )
+    return _certified(graph, 0, [e1, e2, e3], completion)
 
 
 # --- Kemeny --------------------------------------------------------------
@@ -412,14 +381,10 @@ def kemeny_subdivide(g: Digraph) -> GadgetOutput:
         into_mid.append((a, s))
         out_of_mid.append((s, b))
     graph = Digraph.from_arcs(n, into_mid + out_of_mid)
-    e1 = Digraph.from_arcs(n, into_mid)
-    e2 = Digraph.from_arcs(n, out_of_mid)
-    witness = combine_blocks([two_voter_profile(e1), two_voter_profile(e2)])
-    return GadgetOutput(
-        graph=graph,
-        decision_vertex=None,
-        witness=witness,
-        block_trace=(("E1", e1), ("E2", e2)),
+    return _certified(
+        graph,
+        None,
+        [Digraph.from_arcs(n, into_mid), Digraph.from_arcs(n, out_of_mid)],
     )
 
 
@@ -689,20 +654,8 @@ def rp_digraph(f: ThreeCnf) -> GadgetOutput:
         weights[arc] = 4
     graph = WeightedDigraph.from_pairs(n, weights)
 
-    e1, e2, e3, e4 = _rp_blocks(n, m, num_clauses, u, x, ranked_phi, heavy)
-    witness = combine_blocks(
-        [
-            two_voter_profile(e1),
-            two_voter_profile(e2),
-            two_voter_profile(e3),
-            two_voter_profile(e4),
-        ]
-    )
-    return GadgetOutput(
-        graph=graph,
-        decision_vertex=0,
-        witness=witness,
-        block_trace=(("E1", e1), ("E2", e2), ("E3", e3), ("E4", e4)),
+    return _certified(
+        graph, 0, _rp_blocks(n, m, num_clauses, u, x, ranked_phi, heavy)
     )
 
 
@@ -749,7 +702,6 @@ def rp_tournament(f: ThreeCnf) -> GadgetOutput:
         weights[arc] = 1
     graph = WeightedDigraph.from_pairs(n, weights)
 
-    e1, e2, e3, e4 = _rp_blocks(n, m, num_clauses, u, x, ranked_phi, heavy)
     e5 = Digraph.from_arcs(
         n,
         [(x(j), 0) for j in range(1, num_clauses + 1)]
@@ -760,26 +712,5 @@ def rp_tournament(f: ThreeCnf) -> GadgetOutput:
         completion.extend(u(i, a) for a in range(1, 5))
     completion.extend(x(j) for j in range(1, num_clauses + 1))
 
-    witness = combine_blocks(
-        [
-            two_voter_profile(e1),
-            two_voter_profile(e2),
-            two_voter_profile(e3),
-            two_voter_profile(e4),
-            two_voter_profile(e5),
-        ],
-        tuple(completion),
-    )
-    return GadgetOutput(
-        graph=graph,
-        decision_vertex=0,
-        witness=witness,
-        block_trace=(
-            ("E1", e1),
-            ("E2", e2),
-            ("E3", e3),
-            ("E4", e4),
-            ("E5", e5),
-            ("completion", _order_closure(completion)),
-        ),
-    )
+    blocks = _rp_blocks(n, m, num_clauses, u, x, ranked_phi, heavy)
+    return _certified(graph, 0, [*blocks, e5], completion)

@@ -1,5 +1,6 @@
 """Dimension search, fast paths, and the polynomial 3-inducibility scan."""
 
+import importlib
 import itertools
 
 import pytest
@@ -15,6 +16,7 @@ from majdim import (
     two_partition_check_3,
 )
 from majdim.digraph import orientation_compatible
+from majdim.encoding import ModelInconsistencyError
 
 from conftest import (
     HEX_NOT_2,
@@ -43,6 +45,14 @@ def test_two_voter_fast_path():
     res = dimension(g)
     assert res.dim == 2 and res.method == "fast_path_2"
     assert induces(res.witness, g)
+
+
+def test_two_voter_fast_path_checks_its_witness(monkeypatch):
+    # two identical orders induce a transitive tournament, not these arcs
+    module = importlib.import_module("majdim.dimension")  # not the function
+    monkeypatch.setattr(module, "two_voter_orders", lambda g: ([0, 1, 2, 3],) * 2)
+    with pytest.raises(ModelInconsistencyError):
+        dimension(Digraph.from_arcs(4, [(0, 1), (2, 3)]))
 
 
 def test_known_tournament_dimension():

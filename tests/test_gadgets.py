@@ -7,6 +7,7 @@ contracts, the block decomposition structure, weight sets, and desk-scale
 semantic probes.
 """
 
+import hashlib
 import itertools
 import random
 
@@ -15,6 +16,7 @@ import pytest
 from majdim import (
     Digraph,
     ThreeCnf,
+    UndirectedGraph,
     WeightedDigraph,
     banks_tournament,
     brute_force_sat,
@@ -27,7 +29,9 @@ from majdim import (
     rp_tournament,
     slater_tournament,
     teq_tournament,
+    to_ordered3,
     to_reducedfew,
+    transitive_orientation,
     two_voter_profile,
 )
 from majdim.digraph import orientation_compatible
@@ -315,3 +319,110 @@ def test_slater_score_is_sign_invariant_at_desk_scale():
         assert out.graph.n == 13
         scores.add(min_fas_size(out.graph))
     assert scores == {7}
+
+
+# ---------------------------------------------------------------------------
+# golden outputs
+#
+# The constructions are deterministic, so each compiler's output over a
+# fixed seeded battery, and transitive_orientation over seeded graphs, is
+# pinned by a digest.  A rewrite of the 2-voter core or of the block
+# assembly must leave every digest unchanged.
+
+GOLDEN = {
+    "banks_tournament": "ca7a033d1b84985f16aec837c2c604218c5de2e883c5448d9c472e0104631d2b",
+    "teq_tournament": "abcfe699a6d032d36b47903f4e868d7f6e61bdab1aae8362b5474ed6414fbcc2",
+    "slater_tournament": "afc9c9fd9ef7437141e743eeb116cfded4e281e3296b559a442eee8c54975fd1",
+    "rp_digraph": "3d45112f5bcfe7942fac792e229f3c40e2b4f014fe0445ea8871a0fe9190802f",
+    "rp_tournament": "3275a54e5aa9af8d8384d3bf0001832f296d8c508eb66329b0460249f4bb27e6",
+    "kemeny_subdivide": "133ffd17d74aa73db5c0af84a8f2e55fe5bb444acb41f3e3462e739c9d402c79",
+    "two_voter_profile": "1d259b9ae36813d9465ce17e40482092749630b85ab468aea0bbb40057e61f8b",
+    "transitive_orientation": "736e4cf62c36b538e488d3575b96e0d1c26e5efeaba45c6ff6cb6048a265f75f",
+}
+
+
+def _digest(items) -> str:
+    h = hashlib.sha256()
+    for item in items:
+        h.update(repr(item).encode())
+    return h.hexdigest()
+
+
+def _output_key(out):
+    return (
+        out.graph,
+        out.decision_vertex,
+        out.witness.voters,
+        [(name, block.rows) for name, block in out.block_trace],
+    )
+
+
+def _random_poset(n: int, rng) -> Digraph:
+    """Transitive closure of a random DAG on a shuffled vertex order."""
+    order = list(range(n))
+    rng.shuffle(order)
+    density = rng.random()
+    rows = [0] * n
+    for i in reversed(range(n)):
+        for j in range(i + 1, n):
+            if rng.random() < density * 0.5:
+                rows[order[i]] |= 1 << order[j] | rows[order[j]]
+    return Digraph(n, tuple(rows))
+
+
+def _random_undirected(n: int, rng) -> UndirectedGraph:
+    if rng.random() < 0.5:
+        # a comparability graph, so that an orientation exists
+        p = _random_poset(n, rng)
+        return UndirectedGraph(n, tuple(r | m for r, m in zip(p.rows, p.in_masks())))
+    density = rng.random()
+    return UndirectedGraph.from_edges(
+        n,
+        [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density],
+    )
+
+
+def golden_digests() -> dict:
+    rng = random.Random(20170419)
+    ordered = [random_ordered_formula(rng) for _ in range(12)]
+    ordered += [to_ordered3(random_three_cnf(rng, 4, 2)) for _ in range(2)]
+    reduced = [random_reduced_formula(rng) for _ in range(12)]
+    plain = [
+        random_three_cnf(rng, rng.randrange(3, 6), rng.randrange(1, 7))
+        for _ in range(12)
+    ]
+    digraphs = [random_digraph(rng.randrange(2, 9), rng) for _ in range(12)]
+    outputs = {
+        "banks_tournament": [banks_tournament(f) for f in ordered],
+        "teq_tournament": [teq_tournament(f) for f in ordered],
+        "slater_tournament": [slater_tournament(f) for f in reduced]
+        + [slater_tournament(f, component_size=2) for f in reduced[:3]],
+        "rp_digraph": [rp_digraph(f) for f in plain],
+        "rp_tournament": [rp_tournament(f) for f in plain],
+        "kemeny_subdivide": [kemeny_subdivide(g) for g in digraphs if g.arc_count],
+    }
+    digests = {
+        name: _digest(_output_key(out) for out in outs)
+        for name, outs in outputs.items()
+    }
+
+    def two_voter_key(e):
+        try:
+            return two_voter_profile(e).voters
+        except ValueError as exc:
+            return str(exc)
+
+    posets = [_random_poset(rng.randrange(2, 13), rng) for _ in range(150)]
+    digests["two_voter_profile"] = _digest(map(two_voter_key, posets))
+
+    def orientation_key(h):
+        oriented = transitive_orientation(h)
+        return None if oriented is None else oriented.rows
+
+    graphs = [_random_undirected(rng.randrange(2, 13), rng) for _ in range(500)]
+    digests["transitive_orientation"] = _digest(map(orientation_key, graphs))
+    return digests
+
+
+def test_golden_outputs():
+    assert golden_digests() == GOLDEN
