@@ -3,9 +3,11 @@
 Unlabeled tournaments are generated level by level: every kept
 (n-1)-vertex tournament is extended by one new vertex in all 2^(n-1)
 ways, and a child is kept exactly when its ``canonical_form`` is not yet
-in the set of forms seen at that level.  Dimension censuses then run a
-bounded inducibility check per class, re-verifying every negative answer
-with a second, independently encoded solver run.
+in the set of forms seen at that level.  ``canonical_form`` labels a
+tournament by colour refinement plus individualization, so most
+candidates cost one refinement and a single vertex order.  Dimension
+censuses then run a bounded inducibility check per class, re-verifying
+every negative answer with a second, independently encoded solver run.
 """
 
 from __future__ import annotations

@@ -13,7 +13,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
+import stat
 import sys
 from pathlib import Path
 
@@ -86,10 +88,24 @@ def _require_unweighted(g: Digraph | WeightedDigraph, what: str) -> Digraph:
     return g
 
 
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path``, cutting a longer old file to size last.
+
+    Opening with O_TRUNC would empty an existing file first, and on ext4
+    rewriting a file emptied that way waits for its writeback when it is
+    closed.  Only a regular file is cut, so /dev/null and FIFOs work.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w") as f:
+        f.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            f.truncate()
+
+
 def _emit(payload: dict, out: str | None):
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out:
-        Path(out).write_text(text + "\n")
+        _write(out, text + "\n")
     else:
         print(text)
 
@@ -128,7 +144,7 @@ def _cmd_check(args) -> int:
         _emit({"inducible": False, "k": args.k}, args.out)
         return EXIT_NO
     if args.witness:
-        Path(args.witness).write_text(profile_to_text(witness))
+        _write(args.witness, profile_to_text(witness))
     record = {"inducible": True, "k": args.k}
     if not args.witness:
         record["witness"] = [list(o) for o in witness.voters]
@@ -142,7 +158,7 @@ def _cmd_census(args) -> int:
     )
     csv = "\n".join([CSV_HEADER] + [r.as_csv() for r in rows]) + "\n"
     if args.out:
-        Path(args.out).write_text(csv)
+        _write(args.out, csv)
         _emit(summary, None)
     else:
         sys.stdout.write(csv)
@@ -183,8 +199,8 @@ def _cmd_sample(args) -> int:
         )
         meta = spec.metadata()
     if args.out:
-        Path(args.out).write_text(content)
-        Path(args.out + ".json").write_text(json.dumps(meta, sort_keys=True) + "\n")
+        _write(args.out, content)
+        _write(args.out + ".json", json.dumps(meta, sort_keys=True) + "\n")
         _emit(meta, None)
     else:
         _emit({"metadata": meta, "content": content}, None)
@@ -233,9 +249,9 @@ def _cmd_gadget(args) -> int:
         ],
     }
     if args.out_graph:
-        Path(args.out_graph).write_text(graph_text)
+        _write(args.out_graph, graph_text)
     if args.out_profile:
-        Path(args.out_profile).write_text(profile_to_text(out.witness))
+        _write(args.out_profile, profile_to_text(out.witness))
     _emit(trace, args.out_trace)
     if not args.out_graph:
         sys.stdout.write(graph_text)
@@ -252,7 +268,7 @@ def _cmd_transform(args) -> int:
         raise UsageError(str(exc))
     text = to_dimacs(g.to_cnf())
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     _emit(

@@ -8,7 +8,6 @@ All types are immutable values and safe to share across worker processes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 
@@ -333,69 +332,84 @@ def decompose(t: Digraph) -> Decomposition:
     return Decomposition(components, Digraph(p, tuple(rows)))
 
 
-def canonical_form(t: Digraph, max_n: int = 10) -> str:
-    """Label-invariant key for a tournament: the lexicographically minimal
-    upper-triangular adjacency bitstring over all vertex permutations.
+CANONICAL_CAP = 10
 
-    The triangle is read column by column (each newly placed vertex
-    contributes its arcs toward all earlier ones), so a partial placement
-    fixes a contiguous prefix and the search can prune on it.
+
+def canonical_form(t: Digraph) -> str:
+    """Label-invariant key for a tournament on at most ``CANONICAL_CAP``
+    vertices, by colour refinement and individualization.
+
+    Refinement splits every cell of an ordered vertex partition by the
+    vector of its vertices' out-neighbour counts into each cell, orders
+    the sub-cells by that vector (never by vertex id) and repeats until no
+    cell splits.  Where it stalls short of singletons, each vertex of the
+    first non-singleton cell in turn is placed in a cell of its own ahead
+    of the rest, and the search refines and recurses.  Every discrete
+    partition reached is a vertex order; the key is the smallest of their
+    bitstrings.  The search tree depends on the arcs alone, so relabelled
+    copies reach the same set of bitstrings.
+
+    The bitstring of an order has n(n-1)/2 bits, read column by column:
+    for v = 1..n-1 and i = 0..v-1, the bit is 1 when order[i] beats
+    order[v].
     """
     if not t.is_tournament():
         raise ValueError("canonical_form expects a tournament")
     n = t.n
-    if n > max_n:
-        raise ValueError("n=%d above the canonical_form cap (%d)" % (n, max_n))
+    if n > CANONICAL_CAP:
+        raise ValueError(
+            "n=%d above the canonical_form cap (%d)" % (n, CANONICAL_CAP)
+        )
     if n <= 1:
         return ""
 
     rows = t.rows
-    best: list[int] | None = None
-    placed: list[int] = []
-    cur: list[int] = []
+    width = n.bit_length()  # a count into one cell is at most n - 1
 
-    def chunk(v: int, k: int) -> int:
-        c = 0
-        for i in range(k):
-            c = c << 1 | (rows[placed[i]] >> v & 1)
-        return c
+    def refine(cells: list[int]) -> list[int]:
+        while True:
+            split = []
+            for cell in cells:
+                if cell & (cell - 1) == 0:
+                    split.append(cell)
+                    continue
+                parts: dict[int, int] = {}
+                rest = cell
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    row = rows[low.bit_length() - 1]
+                    sig = 0
+                    for c in cells:
+                        sig = sig << width | (row & c).bit_count()
+                    parts[sig] = parts.get(sig, 0) | low
+                split.extend(parts[sig] for sig in sorted(parts))
+            if len(split) == len(cells):
+                return cells
+            cells = split
 
-    # Candidates sharing the prefix differ first in this level's chunk, so
-    # only the minimal chunk (and its ties) can reach the global minimum.
-    def dfs(level: int, used: int):
-        nonlocal best
-        if level == n:
-            if best is None or cur < best:
-                best = cur.copy()
-            return
-        cands = [
-            (chunk(v, level), v) for v in range(n) if not used >> v & 1
-        ]
-        low = min(c for c, _ in cands)
-        if best is not None:
-            prefix = best[: level - 1]
-            if cur > prefix or (cur == prefix and low > best[level - 1]):
-                return
-        cur.append(low)
-        for c, v in cands:
-            if c != low:
-                continue
-            placed.append(v)
-            dfs(level + 1, used | 1 << v)
-            placed.pop()
-        cur.pop()
-
-    # out-degree ordering makes the first descent land near the minimum
-    first = sorted(range(n), key=lambda v: _popcount(rows[v]))
-    for v in first:
-        placed.append(v)
-        dfs(1, 1 << v)
-        placed.pop()
-
-    bits = []
-    for level, c in enumerate(best, start=1):
-        bits.append(format(c, "0%db" % level))
-    return "".join(bits)
+    size = n * (n - 1) // 2
+    best = 1 << size
+    stack = [refine([(1 << n) - 1])]
+    while stack:
+        cells = stack.pop()
+        if len(cells) == n:
+            order = [c.bit_length() - 1 for c in cells]
+            key = 0
+            for v in range(1, n):
+                col = order[v]
+                for i in range(v):
+                    key = key << 1 | rows[order[i]] >> col & 1
+            best = min(best, key)
+            continue
+        i = next(j for j, c in enumerate(cells) if c & (c - 1))
+        target = cells[i]
+        rest = target
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            stack.append(refine(cells[:i] + [low, target ^ low] + cells[i + 1:]))
+    return format(best, "0%db" % size)
 
 
 @dataclass(frozen=True)
@@ -506,15 +520,3 @@ def _header_and_rows(text: str, width: int | None):
         raise ValueError("missing 'n m' header line")
     return rows
 
-
-def brute_force_transitive_orientation(h: UndirectedGraph) -> Digraph | None:
-    """Oracle: try all 2^|edges| orientations.  Only sensible for tiny graphs."""
-    edges = h.edges()
-    for signs in itertools.product((0, 1), repeat=len(edges)):
-        arcs = [
-            (u, v) if s == 0 else (v, u) for (u, v), s in zip(edges, signs)
-        ]
-        g = Digraph.from_arcs(h.n, arcs)
-        if g.is_transitive():
-            return g
-    return None

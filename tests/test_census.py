@@ -8,7 +8,7 @@ from majdim import (
     run_census,
 )
 from majdim.census import CSV_HEADER, CensusRow
-from majdim.digraph import canonical_form
+from majdim.digraph import Digraph, canonical_form
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 2), (4, 4), (5, 12), (6, 56)])
@@ -23,6 +23,28 @@ def test_enumeration_yields_distinct_tournaments():
     keys = {canonical_form(t) for t in ts}
     assert len(keys) == len(ts)
     assert all(t.is_tournament() and t.n == 5 for t in ts)
+
+
+def _decode(key):
+    """Tournament from a key: for v = 1..n-1 and i < v, bit 1 means i -> v."""
+    n = 1
+    while n * (n - 1) // 2 < len(key):
+        n += 1
+    bits = iter(key)
+    arcs = [
+        (i, v) if next(bits) == "1" else (v, i)
+        for v in range(1, n)
+        for i in range(v)
+    ]
+    return Digraph.from_arcs(n, arcs)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_canonical_keys_decode_to_their_class(n):
+    for t in enumerate_tournaments(n):
+        key = canonical_form(t)
+        assert len(key) == n * (n - 1) // 2
+        assert canonical_form(_decode(key)) == key
 
 
 def test_enumeration_rejects_oversized():

@@ -88,6 +88,20 @@ def test_dim_exhausted_bound_is_null(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["dim"] is None
 
 
+def test_dim_out_overwrites_a_longer_file(t5_file, tmp_path, capsys):
+    out = tmp_path / "dim.json"
+    out.write_text("x" * 10000)
+    assert cli_dispatch(["dim", "--graph", str(t5_file), "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text.endswith("}\n") and "x" not in text
+    assert json.loads(text)["dim"] == dimension(TOURNAMENT_5).dim
+
+
+def test_dim_out_accepts_dev_null(t5_file, capsys):
+    assert cli_dispatch(["dim", "--graph", str(t5_file), "--out", os.devnull]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_dim_rejects_weighted_input(tmp_path, capsys):
     wg = tmp_path / "w.wdg"
     wg.write_text("2 1\n0 1 3\n")

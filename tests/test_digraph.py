@@ -11,7 +11,6 @@ from majdim.digraph import (
     Digraph,
     UndirectedGraph,
     WeightedDigraph,
-    brute_force_transitive_orientation,
     canonical_form,
     classify,
     decompose,
@@ -23,6 +22,8 @@ from majdim.digraph import (
     weighted_from_text,
     weighted_to_text,
 )
+
+from majdim.cultures import qr_tournament
 
 from conftest import random_digraph, random_tournament
 
@@ -144,8 +145,91 @@ def test_canonical_form_rejects_non_tournaments():
         canonical_form(Digraph.from_arcs(3, [(0, 1)]))
 
 
+def test_canonical_form_caps_the_order():
+    assert len(canonical_form(random_tournament(10, random.Random(1)))) == 45
+    with pytest.raises(ValueError, match="cap"):
+        canonical_form(random_tournament(11, random.Random(1)))
+
+
+def _all_tournaments(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    for bits in itertools.product((0, 1), repeat=len(pairs)):
+        yield Digraph.from_arcs(
+            n, [(a, b) if s else (b, a) for (a, b), s in zip(pairs, bits)]
+        )
+
+
+def _isomorphic(g, h):
+    """Oracle: try every vertex permutation (tournaments, so equal arc counts)."""
+    target = set(h.arcs())
+    return any(
+        all((perm[u], perm[v]) in target for u, v in g.arcs())
+        for perm in itertools.permutations(range(g.n))
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_canonical_form_equal_exactly_on_isomorphic_tournaments(n):
+    classes = {}
+    for g in _all_tournaments(n):
+        classes.setdefault(canonical_form(g), []).append(g)
+    reps = [members[0] for members in classes.values()]
+    # equal keys: every member is isomorphic to its class's first member
+    for members in classes.values():
+        assert all(_isomorphic(members[0], g) for g in members[1:])
+    # different keys: no two class representatives are isomorphic
+    for a, b in itertools.combinations(reps, 2):
+        assert not _isomorphic(a, b)
+    assert len(classes) == (1, 2, 4, 12)[n - 2]
+
+
+def _rotational(n, connection):
+    return Digraph.from_arcs(
+        n, [(i, (i + s) % n) for i in range(n) for s in connection]
+    )
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        qr_tournament(7),
+        Digraph(7, (112, 49, 67, 7, 76, 28, 42)),
+        _rotational(9, (1, 2, 3, 4)),
+        _rotational(9, (1, 3, 5, 7)),
+        random_tournament(8, random.Random(8)),
+        random_tournament(9, random.Random(9)),
+        random_tournament(10, random.Random(10)),
+    ],
+    ids=["qr7", "reg7", "rot9a", "rot9b", "rand8", "rand9", "rand10"],
+)
+def test_canonical_form_survives_relabelling(g):
+    # In the regular ones refinement cannot split the first cell, so the
+    # search must branch.  reg7 is not vertex-transitive (some out-
+    # neighbourhoods are transitive triples, some 3-cycles): trying only
+    # one vertex of a stalled cell would give it label-dependent keys.
+    r = random.Random(g.n)
+    key = canonical_form(g)
+    for _ in range(10):
+        perm = list(range(g.n))
+        r.shuffle(perm)
+        assert canonical_form(_relabel(g, perm)) == key
+
+
 # ---------------------------------------------------------------------------
 # incomparability and transitive orientation
+
+
+def brute_force_transitive_orientation(h):
+    """Oracle: try all 2^|edges| orientations.  Only sensible for tiny graphs."""
+    edges = h.edges()
+    for signs in itertools.product((0, 1), repeat=len(edges)):
+        arcs = [
+            (u, v) if s == 0 else (v, u) for (u, v), s in zip(edges, signs)
+        ]
+        g = Digraph.from_arcs(h.n, arcs)
+        if g.is_transitive():
+            return g
+    return None
 
 
 def test_incomparability_edges_are_the_unoriented_pairs():
