@@ -23,10 +23,8 @@ from .cnf import CnfFormula
 from .cultures import MODELS, CultureSpec, qr_tournament, sample
 from .digraph import (
     Digraph,
-    GraphClass,
     UndirectedGraph,
     WeightedDigraph,
-    classify,
     decompose,
     canonical_form,
     incomparability_graph,
@@ -92,7 +90,6 @@ __all__ = [
     "DimensionResult",
     "Digraph",
     "GadgetOutput",
-    "GraphClass",
     "LinearOrder",
     "MODELS",
     "ParityError",
@@ -109,7 +106,6 @@ __all__ = [
     "brute_force_sat",
     "canonical_form",
     "check_k_majority",
-    "classify",
     "cli_dispatch",
     "combine_blocks",
     "decode_model",

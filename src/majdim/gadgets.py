@@ -136,17 +136,19 @@ def combine_blocks(blocks, completion: LinearOrder | None = None) -> Profile:
     return Profile(n, tuple(voters))
 
 
+def _suffix_masks(order) -> list[int]:
+    """Mask of the vertices ranked below each vertex in ``order``."""
+    below = [0] * len(order)
+    rest = 0
+    for v in reversed(order):
+        below[v] = rest
+        rest |= 1 << v
+    return below
+
+
 def _order_closure(order) -> Digraph:
     """Transitive tournament ranking the vertices exactly as ``order`` does."""
-    order = list(order)
-    return Digraph.from_arcs(
-        len(order),
-        [
-            (order[i], order[j])
-            for i in range(len(order))
-            for j in range(i + 1, len(order))
-        ],
-    )
+    return Digraph(len(order), tuple(_suffix_masks(order)))
 
 
 def _certified(graph, decision_vertex, blocks, completion=None) -> GadgetOutput:
@@ -173,14 +175,15 @@ def _certify_completion(graph: Digraph, covered, completion) -> None:
     a backward residual arc means the block decomposition is wrong, so
     this guards the constructions below rather than their callers.
     """
-    rank = {v: r for r, v in enumerate(completion)}
-    for u, v in graph.arcs():
-        if any(block.has_arc(u, v) for block in covered):
-            continue
-        if rank[u] > rank[v]:
+    below = _suffix_masks(completion)
+    for u, row in enumerate(graph.rows):
+        for block in covered:
+            row &= ~block.rows[u]
+        backward = row & ~below[u]
+        if backward:
             raise RuntimeError(
                 "completion order does not extend the residual arc (%d, %d)"
-                % (u, v)
+                % (u, (backward & -backward).bit_length() - 1)
             )
 
 

@@ -55,15 +55,42 @@ def weighted_majority(p: Profile) -> WeightedDigraph:
     return WeightedDigraph(p.n, tuple(tuple(r) for r in _margin_matrix(p)))
 
 
+def _majority_rows(p: Profile) -> tuple[int, ...]:
+    """Out-neighbour masks of the strict majority, counted in bit planes.
+
+    Arc u->v needs at least t = k//2 + 1 voters ranking u above v.  Each u
+    keeps a binary counter per target, sliced into planes (plane j holds
+    bit j of every target's count) and started at 2^L - t with 2^L >= t.
+    A voter adds the mask of vertices ranked below u, ripple-carrying
+    through the planes, and since the count never exceeds k < 2^L + t, the
+    targets with count >= t are exactly plane L.
+    """
+    n = p.n
+    t = p.k // 2 + 1
+    top = (t - 1).bit_length()  # L
+    full = (1 << n) - 1
+    start = (1 << top) - t
+    planes = [
+        [full if start >> j & 1 else 0 for j in range(top + 1)] for _ in range(n)
+    ]
+    for order in p.voters:
+        below = 0
+        for u in reversed(order):
+            counter = planes[u]
+            carry = below
+            j = 0
+            while carry:
+                plane = counter[j]
+                counter[j] = plane ^ carry
+                carry &= plane
+                j += 1
+            below |= 1 << u
+    return tuple(counter[top] for counter in planes)
+
+
 def majority_digraph(p: Profile) -> Digraph:
     """Arc u->v iff strictly more voters rank u above v."""
-    w = _margin_matrix(p)
-    rows = [0] * p.n
-    for u in range(p.n):
-        for v in range(p.n):
-            if w[u][v] > 0:
-                rows[u] |= 1 << v
-    return Digraph(p.n, tuple(rows))
+    return Digraph(p.n, _majority_rows(p))
 
 
 def induces(p: Profile, g) -> bool:
@@ -75,7 +102,7 @@ def induces(p: Profile, g) -> bool:
     if isinstance(g, Digraph):
         if p.n != g.n:
             raise ValueError("vertex counts differ")
-        return majority_digraph(p) == g
+        return _majority_rows(p) == g.rows
     raise TypeError("expected Digraph or WeightedDigraph")
 
 

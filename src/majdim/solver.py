@@ -59,16 +59,19 @@ def bundled_solver_path() -> Path:
             "no SAT backend: set %s to a DIMACS solver or install a C compiler "
             "for the bundled one" % ENV_BACKEND
         )
-    cache.mkdir(parents=True, exist_ok=True)
     tmp = binary.with_suffix(".tmp%d" % os.getpid())
-    proc = subprocess.run(
-        [cc, "-O2", "-o", str(tmp), str(_SOURCE)],
-        capture_output=True,
-        text=True,
-    )
-    if proc.returncode != 0:
-        raise SolverError("backend compilation failed:\n" + proc.stderr)
-    os.replace(tmp, binary)  # atomic; concurrent compiles just race benignly
+    try:
+        cache.mkdir(parents=True, exist_ok=True)
+        proc = subprocess.run(
+            [cc, "-O2", "-o", str(tmp), str(_SOURCE)],
+            capture_output=True,
+            text=True,
+        )
+        if proc.returncode != 0:
+            raise SolverError("backend compilation failed:\n" + proc.stderr)
+        os.replace(tmp, binary)  # atomic; concurrent compiles just race benignly
+    except OSError as exc:
+        raise SolverError("cannot build the bundled solver: %s" % exc) from exc
     return binary
 
 
@@ -84,11 +87,14 @@ def solve(f: CnfFormula, timeout: float | None = None) -> SolveResult:
     cmd = backend_command()
     if not shutil.which(cmd[0]) and not Path(cmd[0]).exists():
         raise SolverError("SAT backend %r not found" % cmd[0])
-    with tempfile.NamedTemporaryFile(
-        "w", suffix=".cnf", prefix="majdim-", delete=False
-    ) as handle:
-        handle.write(to_dimacs(f))
-        path = handle.name
+    try:
+        with tempfile.NamedTemporaryFile(
+            "w", suffix=".cnf", prefix="majdim-", delete=False
+        ) as handle:
+            handle.write(to_dimacs(f))
+            path = handle.name
+    except OSError as exc:
+        raise SolverError("cannot write the formula file: %s" % exc) from exc
     try:
         try:
             proc = subprocess.run(

@@ -3,6 +3,7 @@
 0 = success / YES, 1 = domain NO, 2 = usage problem, 3 = infrastructure.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -21,6 +22,7 @@ from majdim import (
     dimension,
     induces,
     majority_digraph,
+    qr_tournament,
     sample,
     serialize_preflib_orders,
 )
@@ -121,6 +123,23 @@ def test_dim_reads_preflib_orders(tmp_path, capsys):
 
 def test_missing_file_is_usage_error(tmp_path):
     assert cli_dispatch(["dim", "--graph", str(tmp_path / "nope.dg")]) == 2
+
+
+def test_dim_timeout_exits_three(tmp_path, capsys):
+    path = tmp_path / "q19.dg"
+    path.write_text(digraph_to_text(qr_tournament(19)))
+    assert cli_dispatch(["dim", "--graph", str(path), "--timeout", "0.2"]) == 3
+    assert capsys.readouterr().err.startswith("timeout:")
+
+
+def test_unusable_solver_cache_exits_three(t5_file, tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "plain"
+    blocker.write_text("")
+    monkeypatch.setenv("MAJDIM_CACHE", str(blocker / "cache"))
+    monkeypatch.delenv("MAJDIM_SAT_SOLVER", raising=False)
+    assert cli_dispatch(["dim", "--graph", str(t5_file)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure:") and "Not a directory" in err
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -295,3 +314,12 @@ def test_runtime_imports_only_the_standard_library():
         check=True,
     )
     assert proc.stdout.splitlines() == ["18", "[]"]
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject promises Python >= 3.10; newer syntax would break there
+    src = Path(majdim.__file__).resolve().parent
+    files = sorted(src.rglob("*.py"))
+    assert files
+    for path in files:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))

@@ -12,7 +12,6 @@ from majdim.digraph import (
     UndirectedGraph,
     WeightedDigraph,
     canonical_form,
-    classify,
     decompose,
     digraph_from_text,
     digraph_to_text,
@@ -90,6 +89,22 @@ def test_predicates_match_brute_force(rng):
         assert g.is_acyclic() == _acyclic_by_search(g)
 
 
+def _lowest_id_first(g, order):
+    """Is ``order`` the topological order taking the lowest ready id each step?"""
+    placed = set()
+    for v in order:
+        ready = [
+            w
+            for w in range(g.n)
+            if w not in placed
+            and all(u in placed for u in range(g.n) if g.has_arc(u, w))
+        ]
+        if not ready or v != min(ready):
+            return False
+        placed.add(v)
+    return len(placed) == g.n
+
+
 def test_topological_order_respects_arcs(rng):
     for _ in range(20):
         perm = list(range(6))
@@ -100,13 +115,101 @@ def test_topological_order_respects_arcs(rng):
         order = g.topological_order()
         pos = {v: i for i, v in enumerate(order)}
         assert all(pos[u] < pos[v] for u, v in g.arcs())
+    # sparse DAGs leave many vertices ready at once, so ties are broken
+    for _ in range(200):
+        n = rng.randrange(1, 12)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        density = rng.choice((0.1, 0.3, 0.6))
+        g = Digraph.from_arcs(
+            n,
+            [
+                (perm[i], perm[j])
+                for i in range(n)
+                for j in range(i + 1, n)
+                if rng.random() < density
+            ],
+        )
+        order = g.topological_order()
+        assert sorted(order) == list(range(n))
+        assert _lowest_id_first(g, order)
+        assert g.is_acyclic()
+    with pytest.raises(ValueError, match="directed cycle"):
+        Digraph.from_arcs(4, [(3, 0), (0, 1), (1, 2), (2, 0)]).topological_order()
 
 
-def test_classify_flags():
-    c = classify(Digraph.from_arcs(3, [(0, 1), (1, 2), (0, 2)]))
-    assert c.tournament and c.transitive and c.acyclic
-    c = classify(Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)]))
-    assert c.tournament and not c.transitive and not c.acyclic
+def _parent_rejection(n, rows):
+    """The constructor's error message, checked the slow way, or None."""
+    if n < 0 or len(rows) != n:
+        return "rows must have length n"
+    for u, row in enumerate(rows):
+        if row & ~((1 << n) - 1):
+            return "arc to a vertex id >= n"
+        if row >> u & 1:
+            return "self-loop at %d" % u
+    for u in range(n):
+        for v in range(n):
+            if rows[u] >> v & 1 and rows[v] >> u & 1:
+                return "asymmetry violated on (%d,%d)" % (u, v)
+    return None
+
+
+def test_constructor_rejections_keep_their_messages(rng):
+    cases = [
+        (2, (0,)),
+        (2, (0b100, 0)),
+        (2, (-1, 0)),
+        (3, (0, 0b10, 0)),
+        (4, (0, 0b1100, 0, 0b11)),  # 1<->3 before 3->0 is checked
+        (4, (0b1000, 0, 0b1000, 0b101)),
+    ]
+    for _ in range(300):
+        n = rng.randrange(1, 8)
+        rows = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(n)]
+        for u in range(n):
+            if rng.random() < 0.8:
+                rows[u] &= ~(1 << u)
+        cases.append((n, tuple(rows)))
+    rejected = 0
+    for n, rows in cases:
+        expected = _parent_rejection(n, rows)
+        if expected is None:
+            assert Digraph(n, rows).rows == rows
+            continue
+        rejected += 1
+        with pytest.raises(ValueError) as info:
+            Digraph(n, rows)
+        assert str(info.value) == expected
+    assert rejected > 100
+    assert _parent_rejection(4, (0, 0b1100, 0, 0b11)) == "asymmetry violated on (1,3)"
+
+
+def test_undirected_rejections():
+    with pytest.raises(ValueError, match="adj must have length n"):
+        UndirectedGraph(2, (0,))
+    with pytest.raises(ValueError, match="self-loop"):
+        UndirectedGraph(2, (0b1, 0))
+    with pytest.raises(ValueError, match="not symmetric"):
+        UndirectedGraph(3, (0b10, 0, 0))
+    with pytest.raises(ValueError, match="vertex id >= n"):
+        UndirectedGraph(2, (0b100, 0))
+    assert UndirectedGraph(3, (0b110, 0b1, 0b1)).edges() == [(0, 1), (0, 2)]
+
+
+def test_in_masks_are_a_copy(rng):
+    g = random_digraph(9, rng)
+    masks = g.in_masks()
+    assert masks == [
+        sum(1 << u for u in range(g.n) if g.has_arc(u, v)) for v in range(g.n)
+    ]
+    masks[0] ^= 1
+    masks.append(7)
+    assert g.in_masks() == list(g.converse().rows)
+    assert len(g.in_masks()) == g.n
+    # the kept masks are not part of the value
+    assert g == Digraph.from_arcs(g.n, g.arcs())
+    assert hash(g) == hash(Digraph(g.n, g.rows))
+    assert repr(g) == "Digraph(n=9, rows=%r)" % (g.rows,)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ import pytest
 from majdim import (
     Digraph,
     Profile,
+    SolverTimeout,
     check_k_majority,
     dimension,
     induces,
     is_2_inducible,
     min_fas_size,
+    qr_tournament,
     two_partition_check_3,
 )
 from majdim.digraph import orientation_compatible
@@ -174,3 +176,10 @@ def test_min_fas_matches_permutation_scan(rng):
 def test_min_fas_rejects_oversized_input():
     with pytest.raises(ValueError):
         min_fas_size(Digraph.empty(17))
+
+
+def test_exhausted_budget_raises_timeout():
+    # refuting k = 5 on Q_19 takes hundreds of thousands of conflicts,
+    # seconds at the least, so a 0.2 s budget always runs out
+    with pytest.raises(SolverTimeout, match="k=5"):
+        check_k_majority(qr_tournament(19), 5, timeout=0.2)

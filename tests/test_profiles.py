@@ -63,16 +63,26 @@ def test_margins_are_antisymmetric_and_bounded(rng):
 
 
 def test_majority_is_positive_part_of_margins(rng):
-    for _ in range(20):
-        voters = []
-        for _ in range(4):
-            order = list(range(5))
-            rng.shuffle(order)
-            voters.append(tuple(order))
-        p = Profile(5, tuple(voters))
+    # every electorate size up to 33, even ones included, and orders of
+    # up to 40 alternatives: the bit-plane count against the margins
+    profiles = []
+    for k in range(1, 34):
+        for n in (1, 2, 5, rng.randrange(3, 41)):
+            voters = []
+            for _ in range(k):
+                order = list(range(n))
+                rng.shuffle(order)
+                voters.append(tuple(order))
+            profiles.append(Profile(n, tuple(voters)))
+    # McGarvey profiles: many voters, every arc at margin exactly 2
+    for n in (6, 12, 16):
+        profiles.append(mcgarvey_profile(random_digraph(n, rng)))
+    assert max(p.k for p in profiles) > 100
+    for p in profiles:
         w = weighted_majority(p)
         g = majority_digraph(p)
         assert sorted(g.arcs()) == sorted((u, v) for u, v, _ in w.positive_arcs())
+        assert induces(p, g)
 
 
 def test_mcgarvey_induces_any_digraph(rng):
