@@ -138,7 +138,7 @@ def test_topological_order_respects_arcs(rng):
         Digraph.from_arcs(4, [(3, 0), (0, 1), (1, 2), (2, 0)]).topological_order()
 
 
-def _parent_rejection(n, rows):
+def _slow_rejection(n, rows):
     """The constructor's error message, checked the slow way, or None."""
     if n < 0 or len(rows) != n:
         return "rows must have length n"
@@ -172,7 +172,7 @@ def test_constructor_rejections_keep_their_messages(rng):
         cases.append((n, tuple(rows)))
     rejected = 0
     for n, rows in cases:
-        expected = _parent_rejection(n, rows)
+        expected = _slow_rejection(n, rows)
         if expected is None:
             assert Digraph(n, rows).rows == rows
             continue
@@ -181,7 +181,7 @@ def test_constructor_rejections_keep_their_messages(rng):
             Digraph(n, rows)
         assert str(info.value) == expected
     assert rejected > 100
-    assert _parent_rejection(4, (0, 0b1100, 0, 0b11)) == "asymmetry violated on (1,3)"
+    assert _slow_rejection(4, (0, 0b1100, 0, 0b11)) == "asymmetry violated on (1,3)"
 
 
 def test_undirected_rejections():
