@@ -123,12 +123,7 @@ def _three_cnf_from_dimacs(path: str) -> ThreeCnf:
 
 def _cmd_dim(args) -> int:
     g = _require_unweighted(_load_graph(args.graph), "dim")
-    result = dimension(
-        g,
-        max_k=args.max_k,
-        use_decomposition=args.decompose,
-        timeout=args.timeout,
-    )
+    result = dimension(g, max_k=args.max_k, timeout=args.timeout)
     _emit(result.to_record(), args.out)
     return EXIT_OK
 
@@ -306,7 +301,6 @@ def _build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("dim", help="compute the majority dimension of a digraph")
     d.add_argument("--graph", required=True)
     d.add_argument("--max-k", type=int, default=9, dest="max_k")
-    d.add_argument("--decompose", action="store_true")
     d.add_argument("--timeout", type=float, default=None)
     d.add_argument("--out", default=None)
     d.set_defaults(func=_cmd_dim)

@@ -4,10 +4,10 @@ The dimension of a digraph is the least number of voters whose strict
 majority relation equals it.  Tournaments have odd dimension and incomplete
 digraphs even dimension, so the search only visits parity-legal voter
 counts: a constant-time transitivity test settles k = 1, a polynomial
-characterization settles k = 2, and SAT calls settle everything above.  For
-composite tournaments the search can instead recurse on the decomposition
-into components and summary, whose maximum dimension equals the whole
-tournament's, and reassemble a witness by substitution.
+characterization settles k = 2, and SAT calls settle everything above.  A
+composite tournament is split into its components and summary, whose
+maximum dimension equals the whole tournament's: the search recurses on
+each and reassembles a witness by substitution.
 """
 
 from __future__ import annotations
@@ -121,83 +121,41 @@ def two_partition_check_3(t: Digraph) -> tuple[Digraph, Digraph] | None:
         )
     n = t.n
     for size in range(len(arcs), -1, -1):
-        for keep in itertools.combinations(range(len(arcs)), size):
+        for keep in itertools.combinations(arcs, size):
             rows1 = [0] * n
-            rows2 = [0] * n
-            chosen = set(keep)
-            for idx, (u, v) in enumerate(arcs):
-                if idx in chosen:
-                    rows1[u] |= 1 << v
-                else:
-                    rows2[u] |= 1 << v
-            if not _rows_transitive(rows1, n):
+            for u, v in keep:
+                rows1[u] |= 1 << v
+            e1 = Digraph(n, tuple(rows1))
+            if not e1.is_transitive():
                 continue
-            if not _rows_acyclic(rows2, n):
-                continue
-            sym_edges = [
-                (u, v)
-                for u in range(n)
-                for v in range(u + 1, n)
-                if (rows2[u] >> v & 1) or (rows2[v] >> u & 1)
-            ]
-            if transitive_orientation(UndirectedGraph.from_edges(n, sym_edges)) is None:
-                continue
-            e1 = Digraph.from_arcs(n, [arcs[i] for i in keep])
-            e2 = Digraph.from_arcs(
-                n, [arcs[i] for i in range(len(arcs)) if i not in chosen]
+            e2 = Digraph(
+                n, tuple(row & ~row1 for row, row1 in zip(t.rows, rows1))
             )
+            if not e2.is_acyclic():
+                continue
+            underlying = tuple(
+                row | into for row, into in zip(e2.rows, e2.in_masks())
+            )
+            if transitive_orientation(UndirectedGraph(n, underlying)) is None:
+                continue
             return e1, e2
     return None
-
-
-def _rows_transitive(rows: list[int], n: int) -> bool:
-    for u in range(n):
-        mask = rows[u]
-        while mask:
-            v = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            if rows[v] & ~rows[u]:
-                return False
-    return True
-
-
-def _rows_acyclic(rows: list[int], n: int) -> bool:
-    indeg = [0] * n
-    for u in range(n):
-        mask = rows[u]
-        while mask:
-            v = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            indeg[v] += 1
-    queue = [v for v in range(n) if indeg[v] == 0]
-    seen = 0
-    while queue:
-        u = queue.pop()
-        seen += 1
-        mask = rows[u]
-        while mask:
-            v = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    return seen == n
 
 
 def dimension(
     g: Digraph,
     max_k: int = 9,
-    use_decomposition: bool = False,
     timeout: float | None = None,
 ) -> DimensionResult:
     """Compute the majority dimension of g, searching k <= max_k.
 
     Fast paths handle k = 1 (transitive tournament) and k = 2 (the
-    polynomial characterization); higher parity-legal k go to the solver in
-    ascending order.  With use_decomposition, composite tournaments recurse
-    on their components and summary and take the maximum, stitching the
-    sub-witnesses back together by substitution.  Exhausting max_k yields an
-    unknown result, not an error: the dimension may simply be larger.
+    polynomial characterization).  A composite tournament, one with a block
+    of more than one vertex, recurses on its components and summary and
+    takes the maximum, stitching the sub-witnesses back together by
+    substitution; other digraphs go to the solver at each higher
+    parity-legal k in ascending order.  Exhausting max_k yields an unknown
+    result, not an error: the dimension may simply be larger.
     """
     if max_k < 1:
         raise ValueError("max_k must be at least 1")
@@ -216,13 +174,10 @@ def dimension(
             return DimensionResult(2, "fast_path_2", witness)
         start = 4
     else:
-        start = 3
-    if use_decomposition and tournament:
         parts = decompose(g)
-        if len(parts.components) > 1 and any(
-            len(c) > 1 for c in parts.components
-        ):
+        if len(parts.components) < g.n:
             return _decomposition_dimension(g, parts, max_k, timeout)
+        start = 3
     for k in range(start, max_k + 1, 2):
         witness = check_k_majority(g, k, timeout=timeout)
         if witness is not None:
@@ -234,10 +189,7 @@ def _decomposition_dimension(
     g: Digraph, parts, max_k: int, timeout: float | None
 ) -> DimensionResult:
     pieces = [g.induced(c) for c in parts.components] + [parts.summary]
-    results = [
-        dimension(piece, max_k, use_decomposition=True, timeout=timeout)
-        for piece in pieces
-    ]
+    results = [dimension(piece, max_k, timeout=timeout) for piece in pieces]
     if any(not r.is_known for r in results):
         return DimensionResult(None, None, None, max_k=max_k)
     dim = max(r.dim for r in results)

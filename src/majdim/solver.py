@@ -77,9 +77,17 @@ def bundled_solver_path() -> Path:
 
 def backend_command() -> list[str]:
     env = os.environ.get(ENV_BACKEND)
-    if env:
-        return shlex.split(env)
-    return [str(bundled_solver_path())]
+    if not env:
+        return [str(bundled_solver_path())]
+    try:
+        cmd = shlex.split(env)
+    except ValueError as exc:
+        raise SolverError(
+            "cannot parse %s=%r: %s" % (ENV_BACKEND, env, exc)
+        ) from exc
+    if not cmd:
+        raise SolverError("%s=%r names no command" % (ENV_BACKEND, env))
+    return cmd
 
 
 def solve(f: CnfFormula, timeout: float | None = None) -> SolveResult:

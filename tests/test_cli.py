@@ -6,6 +6,7 @@
 import ast
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +29,7 @@ from majdim import (
 )
 from majdim.digraph import digraph_to_text
 from majdim.profiles import profile_from_text
+from majdim.solver import bundled_solver_path
 
 from conftest import HEX_NOT_2, TOURNAMENT_5
 
@@ -121,6 +123,21 @@ def test_dim_reads_preflib_orders(tmp_path, capsys):
     assert induces(witness, majority_digraph(profile))
 
 
+def test_dim_reports_decomposition_on_composite_input(tmp_path, capsys):
+    # TOURNAMENT_5 substituted for one vertex of a 3-cycle: block -> 5 -> 6 -> block
+    t = Digraph.from_arcs(
+        7,
+        TOURNAMENT_5.arcs() + [(5, 6)] + [(v, 5) for v in range(5)]
+        + [(6, v) for v in range(5)],
+    )
+    path = tmp_path / "composite.dg"
+    path.write_text(digraph_to_text(t))
+    assert cli_dispatch(["dim", "--graph", str(path)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["dim"] == 3 and record["method"] == "decomposition"
+    assert induces(Profile.of(7, *record["witness"]), t)
+
+
 def test_missing_file_is_usage_error(tmp_path):
     assert cli_dispatch(["dim", "--graph", str(tmp_path / "nope.dg")]) == 2
 
@@ -140,6 +157,30 @@ def test_unusable_solver_cache_exits_three(t5_file, tmp_path, monkeypatch, capsy
     assert cli_dispatch(["dim", "--graph", str(t5_file)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("solver failure:") and "Not a directory" in err
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (" ", "MAJDIM_SAT_SOLVER"),
+        ("'x", "MAJDIM_SAT_SOLVER"),
+        ("no-such-majdim-solver", "SAT backend 'no-such-majdim-solver' not found"),
+    ],
+)
+def test_unusable_backend_variable_exits_three(
+    t5_file, value, message, monkeypatch, capsys
+):
+    monkeypatch.setenv("MAJDIM_SAT_SOLVER", value)
+    assert cli_dispatch(["dim", "--graph", str(t5_file)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure:") and message in err
+
+
+def test_external_backend_answers_check(t5_file, monkeypatch, capsys):
+    monkeypatch.setenv("MAJDIM_SAT_SOLVER", shlex.quote(str(bundled_solver_path())))
+    assert cli_dispatch(["check", "--graph", str(t5_file), "-k", "3"]) == 0
+    witness = Profile.of(5, *json.loads(capsys.readouterr().out)["witness"])
+    assert induces(witness, TOURNAMENT_5)
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -10,6 +10,7 @@ from majdim import (
     Profile,
     SolverTimeout,
     check_k_majority,
+    decompose,
     dimension,
     induces,
     is_2_inducible,
@@ -137,13 +138,36 @@ def test_two_partition_rejects_oversized_input(rng):
         two_partition_check_3(random_tournament(8, rng))
 
 
-def test_decomposition_mode_agrees(rng):
-    for _ in range(10):
-        t = random_tournament(6, rng)
-        plain = dimension(t)
-        split = dimension(t, use_decomposition=True)
-        assert plain.dim == split.dim
-        assert induces(split.witness, t)
+def _least_inducing_k(t):
+    k = 1
+    while check_k_majority(t, k) is None:
+        k += 2
+    return k
+
+
+def test_composite_tournaments_take_the_decomposition_route(rng):
+    methods = set()
+    for n in (6, 7):
+        for _ in range(8):
+            t = random_tournament(n, rng)
+            res = dimension(t)
+            assert res.dim == _least_inducing_k(t)
+            assert induces(res.witness, t)
+            composite = not t.is_transitive() and len(decompose(t).components) < n
+            assert (res.method == "decomposition") == composite
+            methods.add(res.method)
+    assert {"sat", "decomposition"} <= methods
+
+
+def test_planted_composite_recurses_into_its_prime_block():
+    # Q_11 substituted for one vertex of a 3-cycle: block -> 11 -> 12 -> block
+    q11 = qr_tournament(11)
+    arcs = q11.arcs() + [(11, 12)]
+    arcs += [(v, 11) for v in range(11)] + [(12, v) for v in range(11)]
+    t = Digraph.from_arcs(13, arcs)
+    res = dimension(t)
+    assert res.dim == 5 and res.method == "decomposition"
+    assert induces(res.witness, t)
 
 
 # ---------------------------------------------------------------------------
