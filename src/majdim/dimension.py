@@ -150,11 +150,11 @@ def dimension(
     """Compute the majority dimension of g, searching k <= max_k.
 
     Fast paths handle k = 1 (transitive tournament) and k = 2 (the
-    polynomial characterization).  A composite tournament, one with a block
-    of more than one vertex, recurses on its components and summary and
-    takes the maximum, stitching the sub-witnesses back together by
-    substitution; other digraphs go to the solver at each higher
-    parity-legal k in ascending order.  Exhausting max_k yields an unknown
+    polynomial characterization).  A composite tournament, one whose
+    ``decompose`` blocks are not all single vertices, recurses on its
+    components and summary and takes the maximum, stitching the
+    sub-witnesses back together by substitution; other digraphs go to the
+    solver at each higher parity-legal k in ascending order.  Exhausting max_k yields an unknown
     result, not an error: the dimension may simply be larger.
     """
     if max_k < 1:
