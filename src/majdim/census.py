@@ -121,9 +121,10 @@ def run_census(
 
     Returns the aggregate dict {inducible, not_inducible, failures} and
     the per-class rows.  Instances are distributed over ``jobs`` worker
-    threads (the solver runs as a subprocess, so workers overlap); the
-    aggregate is deterministic regardless of the schedule because rows
-    are collected in enumeration order.
+    threads (the solver releases the GIL, in-process or in a child
+    process, so workers overlap); the aggregate is deterministic
+    regardless of the schedule because rows are collected in enumeration
+    order.
     """
     instances = list(enumerate_tournaments(n))
     keys = [canonical_form(t) for t in instances]
