@@ -447,10 +447,10 @@ static int read_long(const char *text, size_t len, size_t *pos, long *out)
     return 1;
 }
 
-/* Finds the "p cnf V C" line after comments and blank space; returns the
- * variable count, or -1 when there is no well-formed problem line.  *pos
- * is left just after it. */
-static long read_header(const char *text, size_t len, size_t *pos)
+/* Finds the "p cnf V C" line after comments and blank space; returns V
+ * and stores C in *clauses, or returns -1 when there is no well-formed
+ * problem line.  *pos is left just after it. */
+static long read_header(const char *text, size_t len, size_t *pos, long *clauses)
 {
     size_t i = 0;
     while (i < len) {
@@ -458,12 +458,12 @@ static long read_header(const char *text, size_t len, size_t *pos)
         if (c == 'c') {
             while (i < len && text[i] != '\n') i++;
         } else if (c == 'p') {
-            long vars, clauses;
+            long vars;
             while (i < len && is_space((unsigned char)text[i])) i++;
             if (len - i < 3 || memcmp(text + i, "cnf", 3) != 0) return -1;
             i += 3;
             if (!read_long(text, len, &i, &vars) ||
-                !read_long(text, len, &i, &clauses) || vars > 1 << 28)
+                !read_long(text, len, &i, clauses) || vars > 1 << 28)
                 return -1;
             *pos = i;
             return vars;
@@ -506,20 +506,29 @@ static void allocate(Solver *s, int nvars)
     for (int v = 0; v < nvars; v++) heap_insert(s, v);
 }
 
-/* Reads the clauses after the problem line; returns 1 when one of them is
- * already false at level 0.  Stops at the first token that is not an
- * integer, as the solver always has. */
-static int read_clauses(Solver *s, const char *text, size_t len, size_t pos)
+/* Reads the clauses after the problem line, which must be exactly the
+ * declared number, with comment lines allowed between them; returns 1
+ * when one of them is already false at level 0. */
+static int read_clauses(Solver *s, const char *text, size_t len, size_t pos,
+                        long declared)
 {
     int early_unsat = 0;
-    long lit;
+    long lit, read = 0;
     s->parse_n = 0;
-    while (read_long(text, len, &pos, &lit)) {
+    for (;;) {
+        while (pos < len && is_space((unsigned char)text[pos])) pos++;
+        if (pos == len) break;
+        if (text[pos] == 'c') {
+            while (pos < len && text[pos] != '\n') pos++;
+            continue;
+        }
+        if (!read_long(text, len, &pos, &lit)) longjmp(s->fail, MC_ERR_INPUT);
         if (lit != 0) {
             if (lit > s->nvars || lit < -s->nvars) longjmp(s->fail, MC_ERR_INPUT);
             parse_push(s, lit > 0 ? POS(lit) : NEG(-lit));
             continue;
         }
+        read++;
         /* normalize: drop duplicates and tautologies */
         int *lits = s->parse_lits;
         int taut = 0, n = 0;
@@ -545,7 +554,7 @@ static int read_clauses(Solver *s, const char *text, size_t len, size_t pos)
             watch_clause(s, cl);
         }
     }
-    if (s->parse_n != 0) longjmp(s->fail, MC_ERR_INPUT); /* unterminated clause */
+    if (s->parse_n != 0 || read != declared) longjmp(s->fail, MC_ERR_INPUT);
     return early_unsat;
 }
 
@@ -585,7 +594,7 @@ int mc_solve(const char *text, size_t len, double seconds,
     int res = setjmp(s->fail);
     if (res == 0) {
         size_t pos = 0;
-        long nvars = read_header(text, len, &pos);
+        long clauses, nvars = read_header(text, len, &pos, &clauses);
         if (nvars < 0 || (size_t)nvars >= model_len) longjmp(s->fail, MC_ERR_INPUT);
         if (seconds >= 0) {
             clock_gettime(CLOCK_MONOTONIC, &s->deadline);
@@ -596,7 +605,8 @@ int mc_solve(const char *text, size_t len, double seconds,
             s->timed = 1;
         }
         allocate(s, (int)nvars);
-        if (read_clauses(s, text, len, pos) || propagate(s) != NULL) res = MC_UNSAT;
+        if (read_clauses(s, text, len, pos, clauses) || propagate(s) != NULL)
+            res = MC_UNSAT;
         else res = search(s);
         if (res == MC_SAT)
             for (int v = 1; v <= s->nvars; v++)
@@ -643,9 +653,10 @@ int main(int argc, char **argv)
         }
     }
     size_t len, pos;
+    long clauses;
     char *text = read_all(in, &len);
     if (in != stdin) fclose(in);
-    long nvars = text ? read_header(text, len, &pos) : -1;
+    long nvars = text ? read_header(text, len, &pos, &clauses) : -1;
     signed char *model = malloc(nvars > 0 ? nvars + 1 : 1);
     long long stats[MC_NSTATS];
     int res = text && model ? mc_solve(text, len, -1.0, model, nvars + 1, stats)

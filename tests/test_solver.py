@@ -90,6 +90,8 @@ def test_random_three_cnf_against_truth_tables():
         "p dnf 2 1\n1 0\n",
         "p cnf 2 1\n1 3 0\n",
         "p cnf 2 1\n1 -2",
+        "p cnf 2 2\n1 0\n",  # fewer clauses than declared
+        "p cnf 2 2\n1 0\nx -1 0\n",  # a stray token
         "p cnf 9 1\n1 0\n",  # more variables than the model buffer holds
     ],
 )
