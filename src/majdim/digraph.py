@@ -216,9 +216,6 @@ class UndirectedGraph:
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in _bits(self.adj[u]) if u < v]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
 
 def incomparability_graph(g: Digraph) -> UndirectedGraph:
     """Undirected graph on the pairs carrying no arc in either direction."""
@@ -287,13 +284,6 @@ def transitive_orientation(h: UndirectedGraph) -> Digraph | None:
     if not oriented.is_transitive():
         return None
     return oriented
-
-
-def orientation_compatible(e1: Digraph, e2: Digraph) -> bool:
-    """True iff no pair is oriented one way in e1 and the other way in e2."""
-    if e1.n != e2.n:
-        raise ValueError("vertex counts differ")
-    return all(row & into == 0 for row, into in zip(e1.rows, e2._in))
 
 
 @dataclass(frozen=True)

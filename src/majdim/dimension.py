@@ -154,8 +154,9 @@ def dimension(
     ``decompose`` blocks are not all single vertices, recurses on its
     components and summary and takes the maximum, stitching the
     sub-witnesses back together by substitution; other digraphs go to the
-    solver at each higher parity-legal k in ascending order.  Exhausting max_k yields an unknown
-    result, not an error: the dimension may simply be larger.
+    solver at each higher parity-legal k in ascending order.  Exhausting
+    max_k yields an unknown result, not an error: the dimension may simply
+    be larger.
     """
     if max_k < 1:
         raise ValueError("max_k must be at least 1")

@@ -19,16 +19,21 @@ exactly G.  Two modes are provided:
     variables.  Transitivity needs only the two cycle-forbidding clauses per
     unordered triple, and subset auxiliaries are allocated lazily.  This mode
     is the workhorse for search.
+
+Either way the preference literals are numbered once, in the table of a
+:class:`VarMap`: ``lits[i][a * n + b]`` is true exactly when voter i ranks a
+above b.  The encoders write their clauses from that table, auxiliaries
+take the variables after it, and ``decode_model`` reads models back through
+it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 
 from .cnf import CnfFormula
-from .digraph import Digraph
+from .digraph import Digraph, incomparability_graph
 from .profiles import Profile
 
 MODES = ("paper_faithful", "optimized")
@@ -69,42 +74,39 @@ def _check_parity(g: Digraph, k: int) -> None:
 class VarMap:
     """Mapping between DIMACS variables and preference statements.
 
-    ``preference_literal(i, a, b)`` is the literal that is true exactly when
-    voter i ranks a above b.  In faithful mode every ordered pair (diagonal
-    included) owns a positive variable; in optimized mode only pairs a < b
-    do, and the converse direction is the negated literal.
+    ``lits[i][a * n + b]`` is the literal that is true exactly when voter i
+    ranks a above b.  Faithful mode numbers every ordered pair of each voter
+    in turn, diagonal included: 1 + i n^2 + a n + b.  Optimized mode numbers
+    only the pairs a < b, in lexicographic order, so (a, b) gets
+    1 + i C(n,2) + its rank; (b, a) holds the negation and the diagonal 0.
     """
 
     n: int
     k: int
-    mode: str
-    num_vars: int
+    lits: tuple[tuple[int, ...], ...]
 
     def preference_literal(self, voter: int, a: int, b: int) -> int:
         n = self.n
         if not (0 <= voter < self.k and 0 <= a < n and 0 <= b < n):
             raise ValueError("index out of range")
-        if self.mode == "paper_faithful":
-            return 1 + voter * n * n + a * n + b
-        if a == b:
+        lit = self.lits[voter][a * n + b]
+        if not lit:
             raise ValueError("optimized mode has no diagonal variables")
-        if a < b:
-            return 1 + voter * comb(n, 2) + _pair_index(n, a, b)
-        return -(1 + voter * comb(n, 2) + _pair_index(n, b, a))
+        return lit
 
 
-def _pair_index(n: int, a: int, b: int) -> int:
-    # Rank of (a, b), a < b, in lexicographic order over all such pairs.
-    return a * n - a * (a + 1) // 2 + (b - a - 1)
-
-
-def _missing_pairs(g: Digraph) -> list[tuple[int, int]]:
-    return [
-        (x, y)
-        for x in range(g.n)
-        for y in range(x + 1, g.n)
-        if not g.has_arc(x, y) and not g.has_arc(y, x)
-    ]
+def _var_map(n: int, k: int, fresh, faithful: bool) -> VarMap:
+    """Number the preference literals, drawing variables from ``fresh``."""
+    lits = []
+    for _ in range(k):
+        row = [0] * (n * n)
+        for a in range(n):
+            for b in range(n) if faithful else range(a + 1, n):
+                row[a * n + b] = var = next(fresh)
+                if not faithful:
+                    row[b * n + a] = -var
+        lits.append(tuple(row))
+    return VarMap(n, k, tuple(lits))
 
 
 def _encode_faithful(g: Digraph, k: int) -> tuple[CnfFormula, VarMap]:
@@ -112,90 +114,82 @@ def _encode_faithful(g: Digraph, k: int) -> tuple[CnfFormula, VarMap]:
     m = majority_threshold(k)
     subsets = list(itertools.combinations(range(k), m))
     slot = n * n
-
-    def r(i: int, a: int, b: int) -> int:
-        return 1 + i * slot + a * n + b
-
-    maj_base = 1 + k * slot
+    fresh = itertools.count(1)
+    vm = _var_map(n, k, fresh, faithful=True)
+    maj_base = next(fresh)
 
     def s(mi: int, a: int, b: int) -> int:
         return maj_base + mi * slot + a * n + b
 
-    tournament = g.is_tournament()
     clauses: list[tuple[int, ...]] = []
-    for i in range(k):
+    for r in vm.lits:
         for x in range(n):
-            clauses.append((r(i, x, x),))
+            clauses.append((r[x * n + x],))
         for x in range(n):
             for y in range(x + 1, n):
-                clauses.append((r(i, x, y), r(i, y, x)))
+                clauses.append((r[x * n + y], r[y * n + x]))
         for x in range(n):
             for y in range(n):
                 for z in range(n):
-                    clauses.append((-r(i, x, y), -r(i, y, z), r(i, x, z)))
+                    clauses.append((-r[x * n + y], -r[y * n + z], r[x * n + z]))
         for x in range(n):
             for y in range(x + 1, n):
-                clauses.append((-r(i, x, y), -r(i, y, x)))
+                clauses.append((-r[x * n + y], -r[y * n + x]))
     for x, y in g.arcs():
         clauses.append(tuple(s(mi, x, y) for mi in range(len(subsets))))
         for mi, subset in enumerate(subsets):
             for i in subset:
-                clauses.append((-s(mi, x, y), r(i, x, y)))
-    num_vars = k * slot + len(subsets) * slot
-    if not tournament:
+                clauses.append((-s(mi, x, y), vm.lits[i][x * n + y]))
+    num_vars = maj_base - 1 + len(subsets) * slot
+    if not g.is_tournament():
         half_subsets = list(itertools.combinations(range(k), k // 2))
         ind_base = 1 + num_vars
 
         def t(mi: int, a: int, b: int) -> int:
             return ind_base + mi * slot + a * n + b
 
-        for x, y in _missing_pairs(g):
+        for x, y in incomparability_graph(g).edges():
             for a, b in ((x, y), (y, x)):
                 clauses.append(
                     tuple(t(mi, a, b) for mi in range(len(half_subsets)))
                 )
                 for mi, subset in enumerate(half_subsets):
                     for i in subset:
-                        clauses.append((-t(mi, a, b), r(i, a, b)))
+                        clauses.append((-t(mi, a, b), vm.lits[i][a * n + b]))
         num_vars += len(half_subsets) * slot
-    vm = VarMap(n=n, k=k, mode="paper_faithful", num_vars=num_vars)
     return CnfFormula(num_vars=num_vars, clauses=tuple(clauses)), vm
 
 
 def _encode_optimized(g: Digraph, k: int) -> tuple[CnfFormula, VarMap]:
     n = g.n
     m = majority_threshold(k)
-    pairs = comb(n, 2)
-    next_var = 1 + k * pairs
-    vm_lit = VarMap(n=n, k=k, mode="optimized", num_vars=0).preference_literal
+    fresh = itertools.count(1)
+    vm = _var_map(n, k, fresh, faithful=False)
 
     clauses: list[tuple[int, ...]] = []
-    for i in range(k):
+    for r in vm.lits:
         for x, y, z in itertools.combinations(range(n), 3):
-            xy, yz, xz = vm_lit(i, x, y), vm_lit(i, y, z), vm_lit(i, x, z)
+            xy, yz, xz = r[x * n + y], r[y * n + z], r[x * n + z]
             clauses.append((-xy, -yz, xz))
             clauses.append((xy, yz, -xz))
 
     def at_least(count: int, a: int, b: int) -> None:
-        nonlocal next_var
         aux = []
         for subset in itertools.combinations(range(k), count):
-            sv = next_var
-            next_var += 1
+            sv = next(fresh)
             aux.append(sv)
             for i in subset:
-                clauses.append((-sv, vm_lit(i, a, b)))
+                clauses.append((-sv, vm.lits[i][a * n + b]))
         clauses.append(tuple(aux))
 
     for x, y in g.arcs():
         at_least(m, x, y)
     if not g.is_tournament():
-        for x, y in _missing_pairs(g):
+        for x, y in incomparability_graph(g).edges():
             at_least(k // 2, x, y)
             at_least(k // 2, y, x)
 
-    num_vars = next_var - 1
-    vm = VarMap(n=n, k=k, mode="optimized", num_vars=num_vars)
+    num_vars = next(fresh) - 1
     return CnfFormula(num_vars=num_vars, clauses=tuple(clauses)), vm
 
 
@@ -236,12 +230,11 @@ def decode_model(
         return value if lit > 0 else not value
 
     voters = []
-    for i in range(k):
+    for i, r in enumerate(vm.lits):
         wins = [0] * n
         for a in range(n):
             for b in range(a + 1, n):
-                ab = holds(vm.preference_literal(i, a, b))
-                ba = holds(vm.preference_literal(i, b, a))
+                ab, ba = holds(r[a * n + b]), holds(r[b * n + a])
                 if ab == ba:
                     raise ModelInconsistencyError(
                         "voter %d ranks %d and %d inconsistently" % (i, a, b)

@@ -71,6 +71,13 @@ def random_digraph(n: int, rng: random.Random) -> Digraph:
     return Digraph.from_arcs(n, arcs)
 
 
+def orientation_compatible(e1: Digraph, e2: Digraph) -> bool:
+    """True iff no pair is oriented one way in e1 and the other way in e2."""
+    if e1.n != e2.n:
+        raise ValueError("vertex counts differ")
+    return not any(e2.has_arc(b, a) for a, b in e1.arcs())
+
+
 def majority_of(voters) -> Digraph:
     p = Profile(n=len(voters[0]), voters=tuple(tuple(v) for v in voters))
     return majority_digraph(p)

@@ -16,7 +16,6 @@ from majdim.digraph import (
     digraph_from_text,
     digraph_to_text,
     incomparability_graph,
-    orientation_compatible,
     transitive_orientation,
     weighted_from_text,
     weighted_to_text,
@@ -24,7 +23,7 @@ from majdim.digraph import (
 
 from majdim.cultures import qr_tournament
 
-from conftest import random_digraph, random_tournament
+from conftest import orientation_compatible, random_digraph, random_tournament
 
 
 def test_from_arcs_rejects_both_directions():

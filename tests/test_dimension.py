@@ -18,13 +18,13 @@ from majdim import (
     qr_tournament,
     two_partition_check_3,
 )
-from majdim.digraph import orientation_compatible
 from majdim.encoding import ModelInconsistencyError
 
 from conftest import (
     HEX_NOT_2,
     TOURNAMENT_5,
     exhaustive_k_inducible,
+    orientation_compatible,
     random_digraph,
     random_tournament,
 )

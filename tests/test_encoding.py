@@ -28,6 +28,7 @@ from majdim import (
     solve,
 )
 from majdim.cnf import from_dimacs, to_dimacs
+from majdim.encoding import ModelInconsistencyError
 
 from conftest import (
     TOURNAMENT_5,
@@ -96,16 +97,72 @@ def test_parity_violations_are_rejected():
 
 
 def test_varmap_literals_are_injective():
-    _, vm = encode_check_k(TOURNAMENT_5, 3, mode="paper_faithful")
-    seen = set()
-    for i in range(3):
-        for a in range(5):
-            for b in range(5):
-                if a == b:
-                    continue
-                lit = vm.preference_literal(i, a, b)
-                assert lit not in seen
-                seen.add(lit)
+    n, k = 5, 3
+    pairs = list(itertools.combinations(range(n), 2))
+    for mode in ("paper_faithful", "optimized"):
+        _, vm = encode_check_k(TOURNAMENT_5, k, mode=mode)
+        seen = set()
+        for i in range(k):
+            for a in range(n):
+                for b in range(n):
+                    if a == b:
+                        continue
+                    lit = vm.preference_literal(i, a, b)
+                    assert lit not in seen
+                    seen.add(lit)
+                    if mode == "paper_faithful":
+                        assert lit == 1 + i * n * n + a * n + b
+                    else:
+                        rank = pairs.index((min(a, b), max(a, b)))
+                        var = 1 + i * comb(n, 2) + rank
+                        assert lit == (var if a < b else -var)
+        for bad in ((k, 0, 1), (-1, 0, 1), (0, n, 1), (0, 1, -1)):
+            with pytest.raises(ValueError, match="out of range"):
+                vm.preference_literal(*bad)
+        for a in range(n):
+            if mode == "paper_faithful":
+                assert vm.preference_literal(1, a, a) == 1 + n * n + a * n + a
+            else:
+                with pytest.raises(ValueError, match="diagonal"):
+                    vm.preference_literal(1, a, a)
+
+
+def _model_ranking(vm, beats):
+    """Model in which voter i ranks a above b exactly for (a, b) in beats[i]."""
+    model = {}
+    for i, pairs in enumerate(beats):
+        for a, b in pairs:
+            for x, y, value in ((a, b, True), (b, a, False)):
+                lit = vm.preference_literal(i, x, y)
+                model[abs(lit)] = (lit > 0) == value
+    return model
+
+
+def test_decode_rejects_a_cyclic_voter():
+    transitive = Digraph.from_arcs(3, [(0, 1), (1, 2), (0, 2)])
+    for mode in ("paper_faithful", "optimized"):
+        _, vm = encode_check_k(transitive, 1, mode=mode)
+        model = _model_ranking(vm, [[(0, 1), (1, 2), (2, 0)]])
+        with pytest.raises(ModelInconsistencyError, match="not transitive"):
+            decode_model(model, vm, 3, 1)
+
+
+def test_decode_rejects_both_directions_in_faithful_mode():
+    transitive = Digraph.from_arcs(3, [(0, 1), (1, 2), (0, 2)])
+    _, vm = encode_check_k(transitive, 1, mode="paper_faithful")
+    model = _model_ranking(vm, [[(0, 1), (1, 2), (0, 2)]])
+    assert decode_model(model, vm, 3, 1).voters == ((0, 1, 2),)
+    model[vm.preference_literal(0, 2, 1)] = True
+    with pytest.raises(ModelInconsistencyError, match="inconsistently"):
+        decode_model(model, vm, 3, 1)
+
+
+def test_decode_rejects_a_foreign_shape():
+    f, vm = encode_check_k(TOURNAMENT_5, 3)
+    model = solve(f).model
+    for n, k in ((4, 3), (5, 1), (6, 5)):
+        with pytest.raises(ValueError, match="built for n=5, k=3"):
+            decode_model(model, vm, n, k)
 
 
 def test_solve_trivial_formulas():

@@ -34,10 +34,9 @@ from majdim import (
     transitive_orientation,
     two_voter_profile,
 )
-from majdim.digraph import orientation_compatible
 from majdim.profiles import weighted_majority
 
-from conftest import random_digraph
+from conftest import orientation_compatible, random_digraph
 
 BATTERY = 30  # formulas per builder here; the acceptance suite runs 100+
 
