@@ -42,7 +42,6 @@ from .dimension import (
     SolverTimeout,
     check_k_majority,
     dimension,
-    is_2_inducible,
     min_fas_size,
     two_partition_check_3,
 )
@@ -55,6 +54,7 @@ from .gadgets import (
     rp_tournament,
     slater_tournament,
     teq_tournament,
+    two_voter_orders,
     two_voter_profile,
 )
 from .preflib import (
@@ -116,7 +116,6 @@ __all__ = [
     "expressiveness_upper_bound",
     "incomparability_graph",
     "induces",
-    "is_2_inducible",
     "kemeny_subdivide",
     "labeled_tournament_count",
     "majority_digraph",
@@ -142,6 +141,7 @@ __all__ = [
     "to_reducedfew",
     "transitive_orientation",
     "two_partition_check_3",
+    "two_voter_orders",
     "two_voter_profile",
     "weighted_majority",
 ]

@@ -26,6 +26,7 @@ from .cultures import MODELS, CultureSpec, qr_tournament, sample
 from .digraph import (
     Digraph,
     WeightedDigraph,
+    _header_and_rows,
     digraph_from_text,
     digraph_to_text,
     weighted_from_text,
@@ -73,7 +74,7 @@ def _load_graph(path: str) -> Digraph | WeightedDigraph:
             return parsed
         return majority_digraph(parsed)
     text = p.read_text()
-    rows = [ln.split() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    rows = _header_and_rows(text, None)
     if len(rows) > 1 and len(rows[1]) == 3:
         return weighted_from_text(text)
     return digraph_from_text(text)

@@ -516,6 +516,8 @@ def digraph_from_text(text: str) -> Digraph:
     arcs = tokens[1:]
     if len(arcs) != m:
         raise ValueError("expected %d arc lines, got %d" % (m, len(arcs)))
+    for u, v in arcs:
+        _require_ids(n, u, v)
     return Digraph.from_arcs(n, arcs)
 
 
@@ -534,12 +536,18 @@ def weighted_from_text(text: str) -> WeightedDigraph:
         if len(row) != 3:
             raise ValueError("weighted arc lines need 'u v w'")
         u, v, w = row
+        _require_ids(n, u, v)
         if w <= 0:
             raise ValueError("only positive weights may be listed")
         pairs[(u, v)] = w
     if len(pairs) != m:
         raise ValueError("expected %d arc lines, got %d" % (m, len(pairs)))
     return WeightedDigraph.from_pairs(n, pairs)
+
+
+def _require_ids(n: int, u: int, v: int) -> None:
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError("arc (%d, %d) names a vertex outside 0..%d" % (u, v, n - 1))
 
 
 def _header_and_rows(text: str, width: int | None):

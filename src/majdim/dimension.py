@@ -12,10 +12,10 @@ each and reassembles a witness by substitution.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .digraph import Digraph, UndirectedGraph, decompose, transitive_orientation
+# bench/tracing.py wraps transitive_orientation here by name; keep the import
+from .digraph import Digraph, decompose, transitive_orientation  # noqa: F401
 from .encoding import ModelInconsistencyError, decode_model, encode_check_k
 from .gadgets import two_voter_orders
 from .profiles import Profile, induces
@@ -89,57 +89,56 @@ def check_k_majority(
     return profile
 
 
-def is_2_inducible(g: Digraph) -> bool:
-    """Polynomial test for 2-voter inducibility.
-
-    Holds exactly when g is transitive and its incomparability graph has a
-    transitive orientation: the two voters agree on every arc and are
-    opposed on a transitive reorientation of the incomparable pairs.
-    """
-    return two_voter_orders(g) is not None
-
-
-_TWO_PARTITION_ARC_CAP = 21
+_TWO_PARTITION_CAP = 8
 
 
 def two_partition_check_3(t: Digraph) -> tuple[Digraph, Digraph] | None:
-    """Exhaustive 3-inducibility test for small tournaments.
+    """SAT-free 3-inducibility test for tournaments of at most 8 vertices.
 
-    Scans all 2-partitions E = E1 ∪ E2 of the arc set for one where E1 is
-    transitive while E2 is acyclic and its underlying edge set has a
-    transitive orientation; such a split exists iff the tournament is
-    3-inducible.  Returns one valid split, or None.  Capped at 21 arcs
-    (7 vertices) since the scan is exponential in the arc count.
+    A tournament is 3-inducible iff its arcs split as E1 ∪ E2 with E1
+    2-inducible (``two_voter_orders``) and E2 acyclic.  Backtracking puts
+    each arc into E1, then into E2, and cuts a branch once E1 holds
+    u -> v -> w while u -> w is no arc or lies in E2, or once E2 gains a
+    cycle.  Returns one valid split, or None.
     """
     if not t.is_tournament():
-        raise ValueError("two-partition scan requires a tournament")
-    arcs = t.arcs()
-    if len(arcs) > _TWO_PARTITION_ARC_CAP:
-        raise ValueError(
-            "arc count %d exceeds the 2^|E| scan cap of %d"
-            % (len(arcs), _TWO_PARTITION_ARC_CAP)
-        )
+        raise ValueError("two-partition search requires a tournament")
     n = t.n
-    for size in range(len(arcs), -1, -1):
-        for keep in itertools.combinations(arcs, size):
-            rows1 = [0] * n
-            for u, v in keep:
-                rows1[u] |= 1 << v
-            e1 = Digraph(n, tuple(rows1))
-            if not e1.is_transitive():
-                continue
-            e2 = Digraph(
-                n, tuple(row & ~row1 for row, row1 in zip(t.rows, rows1))
-            )
-            if not e2.is_acyclic():
-                continue
-            underlying = tuple(
-                row | into for row, into in zip(e2.rows, e2.in_masks())
-            )
-            if transitive_orientation(UndirectedGraph(n, underlying)) is None:
-                continue
-            return e1, e2
-    return None
+    if n > _TWO_PARTITION_CAP:
+        raise ValueError(
+            "n=%d above the two-partition cap (%d)" % (n, _TWO_PARTITION_CAP)
+        )
+    arcs, rows, ins = t.arcs(), t.rows, t.in_masks()
+    e1, in1, e2, in2 = ([0] * n for _ in range(4))
+
+    def place(i: int, reach2: tuple) -> tuple[Digraph, Digraph] | None:
+        if i == len(arcs):
+            g1 = Digraph(n, tuple(e1))
+            return (g1, Digraph(n, tuple(e2))) if two_voter_orders(g1) else None
+        u, v = arcs[i]
+        bu, bv = 1 << u, 1 << v
+        # E1 closes u -> v -> w and w -> u -> v only with arcs E2 has not taken
+        if not (e1[v] & ~(rows[u] & ~e2[u]) or in1[u] & ~(ins[v] & ~in2[v])):
+            e1[u] |= bv
+            in1[v] |= bu
+            split = place(i + 1, reach2)
+            e1[u] ^= bv
+            in1[v] ^= bu
+            if split:
+                return split
+        if reach2[v] & bu:  # v reaches u in E2: u -> v would close a cycle
+            return None
+        e2[u] |= bv
+        in2[v] |= bu
+        below = reach2[v] | bv
+        split = place(i + 1, tuple(
+            r | below if r & bu or x == u else r for x, r in enumerate(reach2)
+        ))
+        e2[u] ^= bv
+        in2[v] ^= bu
+        return split
+
+    return place(0, (0,) * n)
 
 
 def dimension(

@@ -171,8 +171,11 @@ def solve(f: CnfFormula, timeout: float | None = None) -> SolveResult:
 
     The bundled solver takes ``f`` in-process when it has at most
     ``IN_PROCESS_CLAUSES`` clauses; a larger ``f``, or any ``f`` when
-    ``MAJDIM_SAT_SOLVER`` is set, goes to a child process.
+    ``MAJDIM_SAT_SOLVER`` is set, goes to a child process.  A ``timeout``
+    must be positive; None means no limit.
     """
+    if timeout is not None and not timeout > 0:  # NaN too
+        raise ValueError("timeout must be positive, got %g s" % timeout)
     if not os.environ.get(ENV_BACKEND) and len(f.clauses) <= IN_PROCESS_CLAUSES:
         return _solve_in_process(to_dimacs(f), f.num_vars, timeout)
     return _solve_in_child(f, timeout)

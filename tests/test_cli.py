@@ -142,6 +142,41 @@ def test_missing_file_is_usage_error(tmp_path):
     assert cli_dispatch(["dim", "--graph", str(tmp_path / "nope.dg")]) == 2
 
 
+@pytest.mark.parametrize(
+    "name, arc", [("g.dg", "-1 0"), ("g.dg", "5 0"), ("w.wdg", "-1 5 2")]
+)
+def test_out_of_range_vertex_ids_are_usage_errors(name, arc, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text("3 1\n%s\n" % arc)
+    assert cli_dispatch(["dim", "--graph", str(path)]) == 2
+    assert "outside 0..2" in capsys.readouterr().err
+
+
+def test_indented_comment_does_not_make_a_file_weighted(tmp_path, capsys):
+    path = tmp_path / "c3.dg"
+    path.write_text("3 3\n  # u v\n0 1\n1 2\n2 0\n")
+    assert cli_dispatch(["dim", "--graph", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == 3
+
+
+@pytest.mark.parametrize("timeout", ["0", "-1", "nan"])
+@pytest.mark.parametrize("external", [False, True])
+def test_non_positive_timeout_is_usage_error(
+    timeout, external, tmp_path, monkeypatch, capsys
+):
+    if external:
+        monkeypatch.setenv(
+            "MAJDIM_SAT_SOLVER", shlex.quote(str(bundled_solver_path()))
+        )
+    else:
+        monkeypatch.delenv("MAJDIM_SAT_SOLVER", raising=False)
+    path = tmp_path / "c3.dg"
+    path.write_text("3 3\n0 1\n1 2\n2 0\n")
+    argv = ["check", "--graph", str(path), "-k", "3", "--timeout", timeout]
+    assert cli_dispatch(argv) == 2
+    assert "timeout must be positive" in capsys.readouterr().err
+
+
 def test_dim_timeout_exits_three(tmp_path, capsys):
     path = tmp_path / "q19.dg"
     path.write_text(digraph_to_text(qr_tournament(19)))

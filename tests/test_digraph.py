@@ -462,3 +462,15 @@ def test_weighted_text_round_trip(rng):
                 pairs[(b, a)] = -wgt
         w = WeightedDigraph.from_pairs(n, pairs)
         assert weighted_from_text(weighted_to_text(w)) == w
+
+
+@pytest.mark.parametrize("arc", ["-1 0", "5 0", "0 3"])
+def test_digraph_text_rejects_out_of_range_ids(arc):
+    with pytest.raises(ValueError, match="outside 0..2"):
+        digraph_from_text("3 1\n%s\n" % arc)
+
+
+@pytest.mark.parametrize("arc", ["-1 5 2", "0 -1 1", "3 0 1"])
+def test_weighted_text_rejects_out_of_range_ids(arc):
+    with pytest.raises(ValueError, match="outside 0..2"):
+        weighted_from_text("3 1\n%s\n" % arc)

@@ -1,7 +1,8 @@
-"""Dimension search, fast paths, and the polynomial 3-inducibility scan."""
+"""Dimension search, fast paths, and the SAT-free 3-inducibility oracle."""
 
 import importlib
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -9,14 +10,16 @@ from majdim import (
     Digraph,
     Profile,
     SolverTimeout,
+    canonical_form,
     check_k_majority,
     decompose,
     dimension,
+    enumerate_tournaments,
     induces,
-    is_2_inducible,
     min_fas_size,
     qr_tournament,
     two_partition_check_3,
+    two_voter_orders,
 )
 from majdim.encoding import ModelInconsistencyError
 
@@ -65,7 +68,7 @@ def test_known_tournament_dimension():
 
 
 def test_obstructed_incomparability_needs_four_voters():
-    assert not is_2_inducible(HEX_NOT_2)
+    assert two_voter_orders(HEX_NOT_2) is None
     res = dimension(HEX_NOT_2)
     assert res.dim == 4
     assert induces(res.witness, HEX_NOT_2)
@@ -100,7 +103,7 @@ def test_is_2_inducible_matches_exhaustive_search(rng):
         if g.is_tournament():
             continue
         expected = exhaustive_k_inducible(g, 2) is not None
-        assert is_2_inducible(g) == expected
+        assert (two_voter_orders(g) is not None) == expected
         agree_yes += expected
     assert agree_yes > 3
 
@@ -110,7 +113,9 @@ def test_is_2_inducible_agrees_with_solver(rng):
         g = random_digraph(5, rng)
         if g.is_tournament():
             continue
-        assert is_2_inducible(g) == (check_k_majority(g, 2) is not None)
+        assert (two_voter_orders(g) is not None) == (
+            check_k_majority(g, 2) is not None
+        )
 
 
 def test_two_partition_split_is_well_formed():
@@ -131,11 +136,45 @@ def test_two_partition_agrees_with_solver_on_small_tournaments(rng):
             split = two_partition_check_3(t)
             witness = check_k_majority(t, 3)
             assert (split is not None) == (witness is not None)
+    for n in range(1, 8):
+        for t in enumerate_tournaments(n):
+            split = two_partition_check_3(t)
+            assert (split is not None) == (check_k_majority(t, 3) is not None)
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_two_partition_refutes_exactly_the_listed_8_classes(monkeypatch):
+    # the census's 96 SAT refutations at n = 8, checked without a solver
+    monkeypatch.syspath_prepend(str(BENCH))
+    from checks import decode_key
+
+    lines = (BENCH / "data" / "n8_not3.txt").read_text().splitlines()
+    keys = [line.strip() for line in lines if line.strip() and line[0] != "#"]
+    listed = {canonical_form(Digraph(*decode_key(key))) for key in keys}
+    assert len(listed) == 96
+    refuted = set()
+    for t in enumerate_tournaments(8):
+        split = two_partition_check_3(t)
+        if split is None:
+            refuted.add(canonical_form(t))
+            continue
+        e1, e2 = split
+        assert [a | b for a, b in zip(e1.rows, e2.rows)] == list(t.rows)
+        assert not any(a & b for a, b in zip(e1.rows, e2.rows))
+        assert e2.is_acyclic() and two_voter_orders(e1) is not None
+    assert refuted == listed
 
 
 def test_two_partition_rejects_oversized_input(rng):
     with pytest.raises(ValueError):
-        two_partition_check_3(random_tournament(8, rng))
+        two_partition_check_3(random_tournament(9, rng))
+
+
+def test_two_partition_rejects_non_tournaments():
+    with pytest.raises(ValueError, match="requires a tournament"):
+        two_partition_check_3(HEX_NOT_2)
 
 
 def _least_inducing_k(t):

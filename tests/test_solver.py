@@ -109,6 +109,17 @@ def test_in_process_timeout_is_a_result():
     assert time.monotonic() - start < 1.0
 
 
+@pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
+def test_non_positive_timeout_is_rejected_on_both_routes(timeout, monkeypatch):
+    f = pigeonhole(3, 2)
+    monkeypatch.delenv("MAJDIM_SAT_SOLVER", raising=False)
+    with pytest.raises(ValueError, match="timeout must be positive"):
+        solve(f, timeout=timeout)
+    monkeypatch.setenv("MAJDIM_SAT_SOLVER", str(bundled_solver_path()))
+    with pytest.raises(ValueError, match="timeout must be positive"):
+        solve(f, timeout=timeout)
+
+
 def test_threads_solve_side_by_side():
     rng = random.Random(3)
     formulas = []
