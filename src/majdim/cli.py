@@ -291,6 +291,22 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_NO
 
 
+def _timeout(text: str) -> float:
+    """argparse type of ``--timeout``: seconds, which must be positive."""
+    value = float(text)
+    if not value > 0:  # NaN too
+        raise argparse.ArgumentTypeError("timeout must be positive, got %s" % text)
+    return value
+
+
+def _jobs(text: str) -> int:
+    """argparse type of ``--jobs``: a worker count of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("jobs must be at least 1, got %s" % text)
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -302,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("dim", help="compute the majority dimension of a digraph")
     d.add_argument("--graph", required=True)
     d.add_argument("--max-k", type=int, default=9, dest="max_k")
-    d.add_argument("--timeout", type=float, default=None)
+    d.add_argument("--timeout", type=_timeout, default=None)
     d.add_argument("--out", default=None)
     d.set_defaults(func=_cmd_dim)
 
@@ -310,15 +326,15 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--graph", required=True)
     c.add_argument("-k", type=int, required=True)
     c.add_argument("--witness", default=None, help="write the inducing profile here")
-    c.add_argument("--timeout", type=float, default=None)
+    c.add_argument("--timeout", type=_timeout, default=None)
     c.add_argument("--out", default=None)
     c.set_defaults(func=_cmd_check)
 
     ce = sub.add_parser("census", help="k-inducibility census of all n-tournaments")
     ce.add_argument("--n", type=int, required=True)
     ce.add_argument("--k", type=int, required=True)
-    ce.add_argument("--jobs", type=int, default=1)
-    ce.add_argument("--timeout", type=float, default=None)
+    ce.add_argument("--jobs", type=_jobs, default=1)
+    ce.add_argument("--timeout", type=_timeout, default=None)
     ce.add_argument("--out", default=None, help="CSV destination (stdout otherwise)")
     ce.set_defaults(func=_cmd_census)
 

@@ -227,59 +227,122 @@ def incomparability_graph(g: Digraph) -> UndirectedGraph:
     return UndirectedGraph(g.n, adj)
 
 
+def _parts(rows, s: int) -> list[int]:
+    """Connected parts of the vertex set ``s`` under ``rows``, lowest vertex first."""
+    parts = []
+    while s:
+        left = s & s - 1  # not yet reached: all but the lowest vertex
+        new = s ^ left
+        while new:
+            reach = 0
+            while new:
+                low = new & -new
+                reach |= rows[low.bit_length() - 1]
+                new ^= low
+            new = reach & left
+            left ^= new
+        parts.append(s ^ left)
+        s = left
+    return parts
+
+
 def transitive_orientation(h: UndirectedGraph) -> Digraph | None:
     """Orient every edge of ``h`` so the result is transitive, or None.
 
-    Forcing-closure method: orient one edge, propagate every orientation it
-    forces (an arc x->y forces x->c whenever xc is an edge but yc is not,
-    and c->y whenever yc is an edge but xc is not), remove the finished
-    class, repeat on the remaining graph.  A class forcing both directions
-    of some edge means no transitive orientation exists.
+    The vertex set is first split along the parallel and series nodes of
+    its modular decomposition (Gallai 1967), on a stack of vertex sets
+    that starts with all of them:
+
+    - a disconnected set is replaced by its components;
+    - a set whose complement is disconnected is a series node: every edge
+      between two of its co-components is oriented from the co-component
+      with the lower minimum vertex to the other, and each co-component is
+      pushed;
+    - a set that is both connected and co-connected goes to forcing
+      closure: orient one edge, propagate every orientation it forces (an
+      arc x->y forces x->c whenever xc is an edge but yc is not, and c->y
+      whenever yc is an edge but xc is not), remove the finished class,
+      repeat on the set's remaining edges.  A class forcing both
+      directions of some edge means no transitive orientation exists.
+
+    The result is the one forcing on the whole graph gives, bit for bit.
+    That one is fixed by the implication classes and by orienting each
+    class from its smallest edge {u<v} as u->v, since each seed is the
+    smallest edge still unoriented.  Every set on the stack is a module of
+    ``h``, and forcing never leaves a module, since a vertex outside it
+    sees both ends of an inner edge or neither; so the classes inside each
+    part are classes of ``h``.  The edges between two co-components form
+    one class, which forces no reversal and whose smallest edge starts at
+    the lower of the two minima.  The final transitivity check is the
+    same as on the whole graph.
     """
-    n = h.n
-    far = [~(a | 1 << v) for v, a in enumerate(h.adj)]  # neither v nor adjacent
-    cur = list(h.adj)  # adjacency of the not-yet-oriented part
+    n, adj = h.n, h.adj
+    far = [~(a | 1 << v) for v, a in enumerate(adj)]  # neither v nor adjacent
+    # adjacency of the not-yet-oriented part; a series step drops the edges
+    # it orients, so cur[v] stays inside the set on the stack that holds v
+    cur = list(adj)
     out = [0] * n  # arcs oriented so far, as out- and in-neighbour masks
     into = [0] * n
-    for u in range(n):
-        while cur[u]:
-            v = (cur[u] & -cur[u]).bit_length() - 1
-            out[u] |= 1 << v
-            into[v] |= 1 << u
-            stack = [(u, v)]
-            touched = [u, v]
-            while stack:
-                x, y = stack.pop()
-                forced = cur[x] & far[y]
-                if forced & into[x]:
-                    return None
-                forced &= ~out[x]
-                out[x] |= forced
-                bit = 1 << x
-                while forced:
-                    low = forced & -forced
-                    forced ^= low
-                    c = low.bit_length() - 1
-                    into[c] |= bit
-                    stack.append((x, c))
-                    touched.append(c)
-                forced = cur[y] & far[x]
-                if forced & out[y]:
-                    return None
-                forced &= ~into[y]
-                into[y] |= forced
-                bit = 1 << y
-                while forced:
-                    low = forced & -forced
-                    forced ^= low
-                    c = low.bit_length() - 1
-                    out[c] |= bit
-                    stack.append((c, y))
-                    touched.append(c)
-            # clear the class only once it closes: clearing its edges
-            # earlier would hide forcings that conflict with them
-            for w in touched:
-                cur[w] &= ~(out[w] | into[w])
+    sets = [(1 << n) - 1]
+    while sets:
+        s = sets.pop()
+        if not s & s - 1:
+            continue  # at most one vertex, no edge
+        parts = _parts(adj, s)
+        if len(parts) > 1:
+            sets += parts
+            continue
+        parts = _parts(far, s)
+        if len(parts) > 1:
+            earlier, later = 0, s
+            for part in parts:
+                later ^= part
+                for v in _bits(part):
+                    out[v] |= later
+                    into[v] |= earlier
+                    cur[v] &= part
+                earlier |= part
+            sets += parts
+            continue
+        for u in _bits(s):
+            while cur[u]:
+                v = (cur[u] & -cur[u]).bit_length() - 1
+                out[u] |= 1 << v
+                into[v] |= 1 << u
+                stack = [(u, v)]
+                touched = [u, v]
+                while stack:
+                    x, y = stack.pop()
+                    forced = cur[x] & far[y]
+                    if forced & into[x]:
+                        return None
+                    forced &= ~out[x]
+                    out[x] |= forced
+                    bit = 1 << x
+                    while forced:
+                        low = forced & -forced
+                        forced ^= low
+                        c = low.bit_length() - 1
+                        into[c] |= bit
+                        stack.append((x, c))
+                        touched.append(c)
+                    forced = cur[y] & far[x]
+                    if forced & out[y]:
+                        return None
+                    forced &= ~into[y]
+                    into[y] |= forced
+                    bit = 1 << y
+                    while forced:
+                        low = forced & -forced
+                        forced ^= low
+                        c = low.bit_length() - 1
+                        out[c] |= bit
+                        stack.append((c, y))
+                        touched.append(c)
+                # clear the class only once it closes: clearing its edges
+                # earlier would hide forcings that conflict with them
+                for w in touched:
+                    cur[w] &= ~(out[w] | into[w])
     oriented = Digraph(n, tuple(out))
     if not oriented.is_transitive():
         return None

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from majdim import Digraph, Profile, induces, majority_digraph
+from majdim import Digraph, Profile, UndirectedGraph, induces, majority_digraph
 
 # A 5-vertex tournament known to be 3-inducible; INDUCING_PROFILE is a
 # hand-checked witness, used as an oracle for encoder round-trip tests.
@@ -76,6 +76,65 @@ def orientation_compatible(e1: Digraph, e2: Digraph) -> bool:
     if e1.n != e2.n:
         raise ValueError("vertex counts differ")
     return not any(e2.has_arc(b, a) for a, b in e1.arcs())
+
+
+def forcing_orientation(h: UndirectedGraph) -> Digraph | None:
+    """Reference transitive orientation: forcing closure on the whole graph.
+
+    Forcing-closure method: orient one edge, propagate every orientation it
+    forces (an arc x->y forces x->c whenever xc is an edge but yc is not,
+    and c->y whenever yc is an edge but xc is not), remove the finished
+    class, repeat on the remaining graph.  A class forcing both directions
+    of some edge means no transitive orientation exists.
+    """
+    n = h.n
+    far = [~(a | 1 << v) for v, a in enumerate(h.adj)]  # neither v nor adjacent
+    cur = list(h.adj)  # adjacency of the not-yet-oriented part
+    out = [0] * n  # arcs oriented so far, as out- and in-neighbour masks
+    into = [0] * n
+    for u in range(n):
+        while cur[u]:
+            v = (cur[u] & -cur[u]).bit_length() - 1
+            out[u] |= 1 << v
+            into[v] |= 1 << u
+            stack = [(u, v)]
+            touched = [u, v]
+            while stack:
+                x, y = stack.pop()
+                forced = cur[x] & far[y]
+                if forced & into[x]:
+                    return None
+                forced &= ~out[x]
+                out[x] |= forced
+                bit = 1 << x
+                while forced:
+                    low = forced & -forced
+                    forced ^= low
+                    c = low.bit_length() - 1
+                    into[c] |= bit
+                    stack.append((x, c))
+                    touched.append(c)
+                forced = cur[y] & far[x]
+                if forced & out[y]:
+                    return None
+                forced &= ~into[y]
+                into[y] |= forced
+                bit = 1 << y
+                while forced:
+                    low = forced & -forced
+                    forced ^= low
+                    c = low.bit_length() - 1
+                    out[c] |= bit
+                    stack.append((c, y))
+                    touched.append(c)
+            # clear the class only once it closes: clearing its edges
+            # earlier would hide forcings that conflict with them
+            for w in touched:
+                cur[w] &= ~(out[w] | into[w])
+    oriented = Digraph(n, tuple(out))
+    if not oriented.is_transitive():
+        return None
+    return oriented
 
 
 def majority_of(voters) -> Digraph:

@@ -177,6 +177,32 @@ def test_non_positive_timeout_is_usage_error(
     assert "timeout must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("timeout", ["0", "-1", "-0.5", "nan"])
+@pytest.mark.parametrize(
+    "command",
+    [["dim"], ["check", "-k", "1"], ["census", "--n", "3", "--k", "3"]],
+    ids=["dim", "check", "census"],
+)
+def test_every_command_rejects_a_non_positive_timeout(
+    command, timeout, tmp_path, capsys
+):
+    # a transitive 3-tournament: dim and check -k 1 answer it without a
+    # solver call, so only the argument check can reject the timeout
+    path = tmp_path / "t3.dg"
+    path.write_text("3 3\n0 1\n1 2\n0 2\n")
+    if command[0] != "census":
+        command = command + ["--graph", str(path)]
+    assert cli_dispatch(command + ["--timeout", timeout]) == 2
+    assert "timeout must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_census_rejects_fewer_than_one_job(jobs, capsys):
+    argv = ["census", "--n", "3", "--k", "3", "--jobs", jobs]
+    assert cli_dispatch(argv) == 2
+    assert "jobs must be at least 1" in capsys.readouterr().err
+
+
 def test_dim_timeout_exits_three(tmp_path, capsys):
     path = tmp_path / "q19.dg"
     path.write_text(digraph_to_text(qr_tournament(19)))

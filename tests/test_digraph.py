@@ -23,7 +23,13 @@ from majdim.digraph import (
 
 from majdim.cultures import qr_tournament
 
-from conftest import orientation_compatible, random_digraph, random_tournament
+from conftest import (
+    HEX_NOT_2,
+    forcing_orientation,
+    orientation_compatible,
+    random_digraph,
+    random_tournament,
+)
 
 
 def test_from_arcs_rejects_both_directions():
@@ -372,6 +378,133 @@ def test_orientation_agrees_with_brute_force(rng):
         assert (fast is None) == (slow is None)
         if fast is not None:
             assert _valid_orientation(h, fast)
+
+
+# transitive_orientation splits the graph into components and co-components
+# before forcing; it must return exactly what forcing on the whole graph
+# returns (conftest.forcing_orientation), rows or None.  Every family is
+# relabelled at random so that the parts interleave in vertex order.
+
+
+def _relabelled(h, rng):
+    perm = list(range(h.n))
+    rng.shuffle(perm)
+    return UndirectedGraph.from_edges(
+        h.n, [(perm[u], perm[v]) for u, v in h.edges()]
+    )
+
+
+def _union(a, b, join=False):
+    edges = a.edges() + [(a.n + u, a.n + v) for u, v in b.edges()]
+    if join:
+        edges += [(u, a.n + v) for u in range(a.n) for v in range(b.n)]
+    return UndirectedGraph.from_edges(a.n + b.n, edges)
+
+
+def _random_graph(n, p, rng):
+    return UndirectedGraph.from_edges(
+        n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+    )
+
+
+def _random_cograph(n, rng):
+    if n == 1:
+        return UndirectedGraph(1, (0,))
+    k = rng.randrange(1, n)
+    return _union(
+        _random_cograph(k, rng), _random_cograph(n - k, rng), rng.random() < 0.5
+    )
+
+
+def _poset_incomparability(n, dim, rng):
+    """Pairs ordered differently by some two of ``dim`` random orders."""
+    ranks = []
+    for _ in range(dim):
+        order = list(range(n))
+        rng.shuffle(order)
+        ranks.append({v: i for i, v in enumerate(order)})
+    return UndirectedGraph.from_edges(
+        n,
+        [
+            (u, v)
+            for u, v in itertools.combinations(range(n), 2)
+            if len({r[u] < r[v] for r in ranks}) == 2
+        ],
+    )
+
+
+def _complement(h):
+    full = (1 << h.n) - 1
+    adj = tuple(full ^ (1 << v) ^ a for v, a in enumerate(h.adj))
+    return UndirectedGraph(h.n, adj)
+
+
+def _assert_same_as_forcing(h):
+    split = transitive_orientation(h)
+    assert split == forcing_orientation(h)
+    return split
+
+
+def test_split_orientation_matches_forcing_on_disjoint_unions():
+    rng = random.Random(11)
+    for _ in range(40):
+        h = UndirectedGraph(0, ())
+        for _ in range(rng.randrange(2, 5)):
+            n = rng.randrange(1, 9)
+            piece = rng.choice(
+                [
+                    _random_graph(n, rng.random(), rng),
+                    _random_cograph(n, rng),
+                    _poset_incomparability(n, 2, rng),
+                ]
+            )
+            h = _union(h, piece)
+        _assert_same_as_forcing(_relabelled(h, rng))
+
+
+def test_split_orientation_matches_forcing_on_complements_of_sparse_graphs():
+    rng = random.Random(12)
+    nones = 0
+    for n in (6, 12, 30, 60):
+        for _ in range(10):
+            sparse = _random_graph(n, rng.choice((0.02, 0.05, 0.1, 3 / n)), rng)
+            nones += _assert_same_as_forcing(_complement(sparse)) is None
+    assert 0 < nones < 40
+
+
+def test_split_orientation_matches_forcing_on_random_cographs():
+    rng = random.Random(13)
+    for n in (2, 5, 9, 20, 45):
+        for _ in range(8):
+            h = _relabelled(_random_cograph(n, rng), rng)
+            # a cograph has no induced P4, so it is always orientable
+            assert _assert_same_as_forcing(h) is not None
+
+
+@pytest.mark.parametrize("n", [20, 60, 120])
+def test_split_orientation_matches_forcing_on_poset_incomparability(n):
+    rng = random.Random(n)
+    results = []
+    for dim in (2, 2, 3, 3, 3):
+        results.append(_assert_same_as_forcing(_poset_incomparability(n, dim, rng)))
+    # the incomparability graph of a 2-dimensional poset is a comparability graph
+    assert results[0] is not None and results[1] is not None
+
+
+def test_split_orientation_finds_an_obstruction_inside_a_part():
+    rng = random.Random(14)
+    c5 = UndirectedGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    hex_h = incomparability_graph(HEX_NOT_2)
+    for bad in (c5, hex_h):
+        for _ in range(10):
+            other = _random_cograph(rng.randrange(1, 12), rng)
+            for h in (
+                _union(bad, other, join=True),  # bad inside one co-component
+                _union(other, bad),  # bad inside one component
+                _union(_union(other, bad, join=True), other),  # two levels down
+                _union(_union(bad, other), other, join=True),
+            ):
+                assert _assert_same_as_forcing(_relabelled(h, rng)) is None
 
 
 def test_orientation_compatible_detects_conflict():
