@@ -299,12 +299,19 @@ def _timeout(text: str) -> float:
     return value
 
 
-def _jobs(text: str) -> int:
-    """argparse type of ``--jobs``: a worker count of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("jobs must be at least 1, got %s" % text)
-    return value
+def _at_least_one(name: str):
+    """argparse type of an integer option ``name`` that must be at least 1."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(
+                "%s must be at least 1, got %s" % (name, text)
+            )
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 @functools.cache
@@ -333,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ce = sub.add_parser("census", help="k-inducibility census of all n-tournaments")
     ce.add_argument("--n", type=int, required=True)
     ce.add_argument("--k", type=int, required=True)
-    ce.add_argument("--jobs", type=_jobs, default=1)
+    ce.add_argument("--jobs", type=_at_least_one("jobs"), default=1)
     ce.add_argument("--timeout", type=_timeout, default=None)
     ce.add_argument("--out", default=None, help="CSV destination (stdout otherwise)")
     ce.set_defaults(func=_cmd_census)
@@ -362,7 +369,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     g.add_argument("--cnf", default=None, help="DIMACS input (formula rules)")
     g.add_argument("--graph", default=None, help="digraph input (kemeny)")
-    g.add_argument("--component-size", type=int, default=1, dest="component_size")
+    g.add_argument(
+        "--component-size",
+        type=_at_least_one("component-size"),
+        default=1,
+        dest="component_size",
+    )
     g.add_argument("--out-graph", default=None, dest="out_graph")
     g.add_argument("--out-profile", default=None, dest="out_profile")
     g.add_argument("--out-trace", default=None, dest="out_trace")

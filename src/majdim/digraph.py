@@ -6,10 +6,11 @@ the scales this package works at (n up to a few hundred).  Every
 ``Digraph`` is checked once, when it is built: the constructor transposes
 the rows into in-neighbour masks, reads asymmetry off the two, and keeps
 the masks, so ``in_masks``, ``is_tournament``, ``converse`` and
-``incomparability_graph`` never walk the arcs again.  Counts over many
-vertices at once (in-degrees in ``topological_order``, majorities in
-``profiles``) are kept in bit planes: plane j holds bit j of every count.
-All types are immutable values and safe to share across worker processes.
+``incomparability_graph`` never walk the arcs again.  Rankings and the
+masks of their transitive tournaments convert both ways directly
+(``order_rows``, ``linear_order``).  Only majorities, in ``profiles``, are
+counted in bit planes: plane j holds bit j of every count.  All types are
+immutable values and safe to share across worker processes.
 """
 
 from __future__ import annotations
@@ -125,56 +126,35 @@ class Digraph:
                 rest ^= low
         return True
 
-    def is_acyclic(self) -> bool:
-        try:
-            self.topological_order()
-        except ValueError:
-            return False
-        return True
 
-    def topological_order(self) -> list[int]:
-        """One topological order; raises if the digraph has a cycle.
+def order_rows(order) -> list[int]:
+    """Mask of the vertices ranked below each vertex in ``order``."""
+    below = [0] * len(order)
+    rest = 0
+    for v in reversed(order):
+        below[v] = rest
+        rest |= 1 << v
+    return below
 
-        Ties are broken by vertex id so the result is deterministic: each
-        step takes the lowest-id vertex whose in-neighbours are all placed.
-        The unplaced in-neighbours of every vertex are counted in bit
-        planes, so placing a vertex costs a few mask operations instead of
-        one per out-arc.
-        """
-        n, rows = self.n, self.rows
-        planes = [0] * n.bit_length()
-        for row in rows:
-            carry = row
-            j = 0
-            while carry:
-                plane = planes[j]
-                planes[j] = plane ^ carry
-                carry &= plane
-                j += 1
-        waiting = 0
-        for plane in planes:
-            waiting |= plane
-        ready = (1 << n) - 1 & ~waiting
-        out = []
-        while ready:
-            low = ready & -ready
-            ready ^= low
-            v = low.bit_length() - 1
-            out.append(v)
-            borrow = rows[v]
-            j = 0
-            while borrow:
-                plane = planes[j]
-                planes[j] = plane ^ borrow
-                borrow &= ~plane
-                j += 1
-            waiting = 0
-            for plane in planes:
-                waiting |= plane
-            ready |= rows[v] & ~waiting
-        if len(out) != n:
-            raise ValueError("digraph has a directed cycle")
-        return out
+
+def linear_order(rows) -> list[int] | None:
+    """The ranking whose ``order_rows`` equal the masks ``rows``, or None.
+
+    A tournament is transitive exactly when its out-degrees are n-1, ...,
+    1, 0 (Landau 1953), so the ranking puts each vertex at place n-1 minus
+    its out-degree.  A shared or negative place rules the input out; any
+    other non-transitive input fails the final comparison of masks.
+    """
+    n = len(rows)
+    order = [-1] * n
+    for v, row in enumerate(rows):
+        place = n - 1 - row.bit_count()
+        if place < 0 or order[place] >= 0:
+            return None
+        order[place] = v
+    if order_rows(order) != list(rows):
+        return None
+    return order
 
 
 def _bits(mask: int):

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .digraph import Digraph, decompose, linear_order
 # bench/tracing.py wraps transitive_orientation here by name; keep the import
-from .digraph import Digraph, decompose, transitive_orientation  # noqa: F401
+from .digraph import transitive_orientation  # noqa: F401
 from .encoding import ModelInconsistencyError, decode_model, encode_check_k
 from .gadgets import two_voter_orders
 from .profiles import Profile, induces
@@ -159,10 +160,10 @@ def dimension(
     """
     if max_k < 1:
         raise ValueError("max_k must be at least 1")
+    order = linear_order(g.rows)
+    if order is not None:
+        return DimensionResult(1, "fast_path_1", Profile(g.n, (tuple(order),)))
     tournament = g.is_tournament()
-    if tournament and g.is_transitive():
-        order = tuple(g.topological_order())
-        return DimensionResult(1, "fast_path_1", Profile(g.n, (order,)))
     if not tournament:
         if max_k < 2:
             return DimensionResult(None, None, None, max_k=max_k)

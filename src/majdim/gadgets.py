@@ -26,6 +26,8 @@ from .digraph import (
     Digraph,
     WeightedDigraph,
     incomparability_graph,
+    linear_order,
+    order_rows,
     transitive_orientation,
 )
 from .profiles import LinearOrder, Profile, induces, majority_digraph
@@ -68,11 +70,11 @@ def two_voter_orders(e: Digraph) -> tuple[list[int], list[int]] | None:
     reorient = transitive_orientation(incomparability_graph(e))
     if reorient is None:
         return None
-    first = Digraph(e.n, tuple(a | b for a, b in zip(e.rows, reorient.rows)))
-    second = Digraph(
-        e.n, tuple(a | b for a, b in zip(e.rows, reorient.in_masks()))
-    )
-    return first.topological_order(), second.topological_order()
+    first = linear_order([a | b for a, b in zip(e.rows, reorient.rows)])
+    second = linear_order([a | b for a, b in zip(e.rows, reorient.in_masks())])
+    if first is None or second is None:
+        return None
+    return first, second
 
 
 def two_voter_profile(e: Digraph) -> Profile:
@@ -136,19 +138,9 @@ def combine_blocks(blocks, completion: LinearOrder | None = None) -> Profile:
     return Profile(n, tuple(voters))
 
 
-def _suffix_masks(order) -> list[int]:
-    """Mask of the vertices ranked below each vertex in ``order``."""
-    below = [0] * len(order)
-    rest = 0
-    for v in reversed(order):
-        below[v] = rest
-        rest |= 1 << v
-    return below
-
-
 def _order_closure(order) -> Digraph:
     """Transitive tournament ranking the vertices exactly as ``order`` does."""
-    return Digraph(len(order), tuple(_suffix_masks(order)))
+    return Digraph(len(order), tuple(order_rows(order)))
 
 
 def _certified(graph, decision_vertex, blocks, completion=None) -> GadgetOutput:
@@ -175,7 +167,7 @@ def _certify_completion(graph: Digraph, covered, completion) -> None:
     a backward residual arc means the block decomposition is wrong, so
     this guards the constructions below rather than their callers.
     """
-    below = _suffix_masks(completion)
+    below = order_rows(completion)
     for u, row in enumerate(graph.rows):
         for block in covered:
             row &= ~block.rows[u]

@@ -72,7 +72,11 @@ def _header(lines: list[str]) -> tuple[int, int, int, int]:
 
 
 def _body_lines(raw: str) -> list[str]:
-    return [line.rstrip("\n") for line in raw.splitlines()]
+    """The file's lines, less the blank lines it may end with."""
+    lines = raw.splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    return lines
 
 
 def parse_preflib_orders(text: str) -> Profile:

@@ -78,6 +78,24 @@ def orientation_compatible(e1: Digraph, e2: Digraph) -> bool:
     return not any(e2.has_arc(b, a) for a, b in e1.arcs())
 
 
+def acyclic_by_search(g: Digraph) -> bool:
+    """True iff ``g`` has no directed cycle, by depth-first search."""
+    color = [0] * g.n
+
+    def visit(u):
+        color[u] = 1
+        for v in range(g.n):
+            if g.has_arc(u, v):
+                if color[v] == 1:
+                    return False
+                if color[v] == 0 and not visit(v):
+                    return False
+        color[u] = 2
+        return True
+
+    return all(color[u] or visit(u) for u in range(g.n))
+
+
 def forcing_orientation(h: UndirectedGraph) -> Digraph | None:
     """Reference transitive orientation: forcing closure on the whole graph.
 

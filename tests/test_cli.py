@@ -203,6 +203,16 @@ def test_census_rejects_fewer_than_one_job(jobs, capsys):
     assert "jobs must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_gadget_rejects_component_size_below_one(size, cnf_file, capsys):
+    argv = ["gadget", "--rule", "slater", "--cnf", str(cnf_file),
+            "--component-size", size]
+    assert cli_dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert "component-size must be at least 1" in err
+    assert "formula not admissible" not in err
+
+
 def test_dim_timeout_exits_three(tmp_path, capsys):
     path = tmp_path / "q19.dg"
     path.write_text(digraph_to_text(qr_tournament(19)))
@@ -405,17 +415,35 @@ print(sorted(loaded - set(sys.stdlib_module_names) - {"majdim"}))
 """
 
 
-def test_runtime_imports_only_the_standard_library():
+def _source_env() -> dict:
+    """This environment, with the tested package's source first on the path."""
     src = str(Path(majdim.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_runtime_imports_only_the_standard_library():
     proc = subprocess.run(
         [sys.executable, "-c", _RUNTIME_IMPORTS],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_source_env(),
         check=True,
     )
     assert proc.stdout.splitlines() == ["18", "[]"]
+
+
+def test_module_entry_point_exits_with_the_answer(tmp_path):
+    path = tmp_path / "c3.dg"
+    path.write_text("3 3\n0 1\n1 2\n2 0\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "majdim", "dim", "--graph", str(path)],
+        capture_output=True,
+        text=True,
+        env=_source_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert '"dim": 3' in proc.stdout
 
 
 def test_sources_parse_as_python_3_10():

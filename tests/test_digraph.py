@@ -1,6 +1,7 @@
 """Core digraph structures: predicates, canonical keys, orientations."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -16,6 +17,8 @@ from majdim.digraph import (
     digraph_from_text,
     digraph_to_text,
     incomparability_graph,
+    linear_order,
+    order_rows,
     transitive_orientation,
     weighted_from_text,
     weighted_to_text,
@@ -70,77 +73,62 @@ def _transitive_by_triples(g):
     return True
 
 
-def _acyclic_by_search(g):
-    color = [0] * g.n
-
-    def visit(u):
-        color[u] = 1
-        for v in range(g.n):
-            if g.has_arc(u, v):
-                if color[v] == 1:
-                    return False
-                if color[v] == 0 and not visit(v):
-                    return False
-        color[u] = 2
-        return True
-
-    return all(color[u] or visit(u) for u in range(g.n))
-
-
 def test_predicates_match_brute_force(rng):
     for _ in range(60):
         g = random_digraph(5, rng)
         assert g.is_transitive() == _transitive_by_triples(g)
-        assert g.is_acyclic() == _acyclic_by_search(g)
 
 
-def _lowest_id_first(g, order):
-    """Is ``order`` the topological order taking the lowest ready id each step?"""
-    placed = set()
-    for v in order:
-        ready = [
-            w
-            for w in range(g.n)
-            if w not in placed
-            and all(u in placed for u in range(g.n) if g.has_arc(u, w))
-        ]
-        if not ready or v != min(ready):
-            return False
-        placed.add(v)
-    return len(placed) == g.n
+def _ranking_by_search(n, rows):
+    """The order whose forward pairs are exactly the bits of ``rows``, or None."""
+    arcs = {(u, v) for u in range(n) for v in range(n) if rows[u] >> v & 1}
+    for order in itertools.permutations(range(n)):
+        if arcs == set(itertools.combinations(order, 2)):
+            return list(order)
+    return None
 
 
-def test_topological_order_respects_arcs(rng):
-    for _ in range(20):
-        perm = list(range(6))
-        rng.shuffle(perm)
-        g = Digraph.from_arcs(
-            6, [(perm[i], perm[j]) for i in range(6) for j in range(i + 1, 6)]
-        )
-        order = g.topological_order()
-        pos = {v: i for i, v in enumerate(order)}
-        assert all(pos[u] < pos[v] for u, v in g.arcs())
-    # sparse DAGs leave many vertices ready at once, so ties are broken
-    for _ in range(200):
-        n = rng.randrange(1, 12)
-        perm = list(range(n))
-        rng.shuffle(perm)
-        density = rng.choice((0.1, 0.3, 0.6))
-        g = Digraph.from_arcs(
-            n,
-            [
-                (perm[i], perm[j])
-                for i in range(n)
-                for j in range(i + 1, n)
-                if rng.random() < density
-            ],
-        )
-        order = g.topological_order()
-        assert sorted(order) == list(range(n))
-        assert _lowest_id_first(g, order)
-        assert g.is_acyclic()
-    with pytest.raises(ValueError, match="directed cycle"):
-        Digraph.from_arcs(4, [(3, 0), (0, 1), (1, 2), (2, 0)]).topological_order()
+def test_linear_order_matches_search_on_all_small_tournaments():
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        transitive = 0
+        for flips in range(1 << len(pairs)):
+            arcs = [(v, u) if flips >> i & 1 else (u, v) for i, (u, v) in enumerate(pairs)]
+            g = Digraph.from_arcs(n, arcs)
+            expected = _ranking_by_search(n, g.rows)
+            assert linear_order(g.rows) == expected
+            transitive += expected is not None
+        assert transitive == math.factorial(n)
+
+
+def test_linear_order_rejects_all_but_transitive_tournaments(rng):
+    for _ in range(300):
+        n = rng.randrange(7)
+        g = random_digraph(n, rng)
+        assert linear_order(g.rows) == _ranking_by_search(n, g.rows)
+    # raw masks with loops and two-way pairs, some with every out-degree
+    # n-1..0 exactly once, so only the final comparison of masks catches them
+    for _ in range(300):
+        n = rng.randrange(1, 6)
+        if rng.random() < 0.5:
+            degrees = rng.sample(range(n), n)
+            rows = [sum(1 << v for v in rng.sample(range(n), d)) for d in degrees]
+        else:
+            rows = [rng.getrandbits(n) for _ in range(n)]
+        assert linear_order(rows) == _ranking_by_search(n, rows)
+    assert linear_order([0b110, 0b001, 0b000]) is None  # 0 <-> 1, degrees 2, 1, 0
+
+
+def test_order_rows_round_trip(rng):
+    for n in range(13):
+        for _ in range(10):
+            order = list(range(n))
+            rng.shuffle(order)
+            rows = order_rows(order)
+            closure = Digraph.from_arcs(n, itertools.combinations(order, 2))
+            assert rows == list(closure.rows)
+            assert linear_order(rows) == order
+            assert linear_order(tuple(rows)) == order
 
 
 def _slow_rejection(n, rows):

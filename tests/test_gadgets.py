@@ -32,6 +32,7 @@ from majdim import (
     to_ordered3,
     to_reducedfew,
     transitive_orientation,
+    two_voter_orders,
     two_voter_profile,
 )
 from majdim.profiles import weighted_majority
@@ -117,6 +118,11 @@ def test_two_voter_profile_margins(rng):
         assert induces(p, g)
         w = weighted_majority(p)
         assert all(w.weight(u, v) == 2 for u, v in g.arcs())
+
+
+def test_two_voter_orders_on_zero_and_one_vertex():
+    assert two_voter_orders(Digraph.empty(0)) == ([], [])
+    assert two_voter_orders(Digraph.empty(1)) == ([0], [0])
 
 
 def test_two_voter_profile_rejects_intransitive():

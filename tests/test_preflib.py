@@ -100,6 +100,27 @@ def test_bad_voter_total_reports_line():
         parse_preflib_orders(broken)
 
 
+def test_orders_ignore_trailing_blank_lines():
+    expected = parse_preflib_orders(ORDERS)
+    assert parse_preflib_orders(ORDERS + "\n") == expected
+    assert parse_preflib_orders(ORDERS + "\n  \n\n") == expected
+
+
+def test_wmg_ignores_trailing_blank_lines():
+    expected = parse_preflib_wmg(WMG)
+    assert parse_preflib_wmg(WMG + "\n") == expected
+    assert parse_preflib_wmg(WMG + "\n  \n\n") == expected
+
+
+def test_blank_line_inside_the_body_reports_line():
+    gap = ORDERS.replace("2: 1,2,3\n", "2: 1,2,3\n\n")
+    with pytest.raises(PrefLibError, match="line 7: ballot count"):
+        parse_preflib_orders(gap.replace("3,3,2", "3,3,3"))
+    wmg_gap = WMG.replace("3,1,2\n", "\n3,1,2\n")
+    with pytest.raises(PrefLibError, match="line 6: pair lines"):
+        parse_preflib_wmg(wmg_gap.replace("3,3,2", "3,3,3"))
+
+
 def test_ties_are_rejected():
     tied = ORDERS.replace("2: 1,2,3", "2: {1,2},3")
     with pytest.raises(PrefLibError, match="tie"):

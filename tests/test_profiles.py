@@ -13,6 +13,7 @@ from majdim import (
     mcgarvey_profile,
     weighted_majority,
 )
+from majdim.digraph import linear_order
 from majdim.profiles import profile_from_text, profile_to_text
 
 from conftest import (
@@ -40,7 +41,7 @@ def test_single_voter_majority_is_their_ranking():
     p = Profile.of(4, (2, 0, 3, 1))
     g = majority_digraph(p)
     assert g.is_transitive() and g.is_tournament()
-    assert g.topological_order() == [2, 0, 3, 1]
+    assert linear_order(g.rows) == [2, 0, 3, 1]
 
 
 def test_margins_are_antisymmetric_and_bounded(rng):
