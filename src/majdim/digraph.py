@@ -98,7 +98,13 @@ class Digraph:
 
     def induced(self, vertices) -> "Digraph":
         """Subgraph on the given vertices, relabelled 0..len-1 in the given order."""
-        index = {v: i for i, v in enumerate(vertices)}
+        index = {}
+        for i, v in enumerate(vertices):
+            if not 0 <= v < self.n:
+                raise ValueError("vertex %d outside 0..%d" % (v, self.n - 1))
+            if v in index:
+                raise ValueError("vertex %d listed twice" % v)
+            index[v] = i
         rows = [0] * len(index)
         for v, i in index.items():
             for w in _bits(self.rows[v]):
@@ -115,16 +121,25 @@ class Digraph:
         )
 
     def is_transitive(self) -> bool:
-        # u->v implies out(v) subseteq out(u); asymmetry guarantees u not in out(v)
-        rows = self.rows
-        for row in rows:
-            rest = row
-            while rest:
-                low = rest & -rest
-                if rows[low.bit_length() - 1] & ~row:
-                    return False
-                rest ^= low
-        return True
+        return _transitive_within(self.rows, (1 << self.n) - 1)
+
+
+def _transitive_within(rows, mask: int) -> bool:
+    """True when the arcs of ``rows`` between vertices of ``mask`` are transitive.
+
+    u->v inside the mask requires out(v) & mask to lie in out(u); arcs
+    leaving the mask are ignored.  Since u is not in out(u), a pair of
+    opposite arcs inside the mask fails too.
+    """
+    for u in _bits(mask):
+        row = rows[u]
+        rest = row & mask
+        while rest:
+            low = rest & -rest
+            if rows[low.bit_length() - 1] & mask & ~row:
+                return False
+            rest ^= low
+    return True
 
 
 def order_rows(order) -> list[int]:
@@ -253,8 +268,18 @@ def transitive_orientation(h: UndirectedGraph) -> Digraph | None:
     sees both ends of an inner edge or neither; so the classes inside each
     part are classes of ``h``.  The edges between two co-components form
     one class, which forces no reversal and whose smallest edge starts at
-    the lower of the two minima.  The final transitivity check is the
-    same as on the whole graph.
+    the lower of the two minima.
+
+    Transitivity is checked only inside each connected, co-connected set,
+    once its forcing ends.  That is enough: take a path a->b->c and the
+    smallest set T on the stack that holds all three vertices.  If T is
+    disconnected, the path stays inside one component of T, which
+    contradicts T being the smallest.  If T is a series node, its
+    co-components are ordered and every edge between two of them points
+    forward; the path cannot stay inside one co-component, so c lies in a
+    later co-component than a, and a->c is present.  Otherwise T is
+    connected and co-connected, both arcs were oriented by T's own
+    forcing, and T's check covers them.
     """
     n, adj = h.n, h.adj
     far = [~(a | 1 << v) for v, a in enumerate(adj)]  # neither v nor adjacent
@@ -323,10 +348,9 @@ def transitive_orientation(h: UndirectedGraph) -> Digraph | None:
                 # earlier would hide forcings that conflict with them
                 for w in touched:
                     cur[w] &= ~(out[w] | into[w])
-    oriented = Digraph(n, tuple(out))
-    if not oriented.is_transitive():
-        return None
-    return oriented
+        if not _transitive_within(out, s):
+            return None
+    return Digraph(n, tuple(out))
 
 
 @dataclass(frozen=True)

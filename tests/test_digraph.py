@@ -12,6 +12,7 @@ from majdim.digraph import (
     Digraph,
     UndirectedGraph,
     WeightedDigraph,
+    _transitive_within,
     canonical_form,
     decompose,
     digraph_from_text,
@@ -64,6 +65,21 @@ def test_induced_subgraph_keeps_internal_arcs():
     h = g.induced([1, 2, 3])
     # vertices renumbered in the order given
     assert sorted(h.arcs()) == [(0, 1), (1, 2)]
+
+
+@pytest.mark.parametrize(
+    "vertices, message",
+    [
+        ([0, 0, 1], "vertex 0 listed twice"),
+        ([2, 1, 2], "vertex 2 listed twice"),
+        ([0, 5], "vertex 5 outside 0..2"),
+        ([-1, 1], "vertex -1 outside 0..2"),
+    ],
+)
+def test_induced_rejects_repeated_and_out_of_range_vertices(vertices, message):
+    g = Digraph.from_arcs(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match=message):
+        g.induced(vertices)
 
 
 def _transitive_by_triples(g):
@@ -382,11 +398,26 @@ def _relabelled(h, rng):
     )
 
 
+def _substitute(quotient, parts):
+    """Replace vertex i of ``quotient`` by the graph ``parts[i]``."""
+    starts = list(itertools.accumulate([0] + [p.n for p in parts]))
+    edges = [
+        (starts[i] + u, starts[i] + v)
+        for i, p in enumerate(parts)
+        for u, v in p.edges()
+    ]
+    edges += [
+        (a, b)
+        for i, j in quotient.edges()
+        for a in range(starts[i], starts[i + 1])
+        for b in range(starts[j], starts[j + 1])
+    ]
+    return UndirectedGraph.from_edges(starts[-1], edges)
+
+
 def _union(a, b, join=False):
-    edges = a.edges() + [(a.n + u, a.n + v) for u, v in b.edges()]
-    if join:
-        edges += [(u, a.n + v) for u in range(a.n) for v in range(b.n)]
-    return UndirectedGraph.from_edges(a.n + b.n, edges)
+    quotient = UndirectedGraph.from_edges(2, [(0, 1)] if join else [])
+    return _substitute(quotient, [a, b])
 
 
 def _random_graph(n, p, rng):
@@ -493,6 +524,53 @@ def test_split_orientation_finds_an_obstruction_inside_a_part():
                 _union(_union(bad, other), other, join=True),
             ):
                 assert _assert_same_as_forcing(_relabelled(h, rng)) is None
+
+
+def _random_modular_graph(n, depth, rng):
+    """Modules nested up to ``depth`` levels under parallel, series and
+    prime nodes; the innermost ones are random graphs, orientable or not."""
+    p4 = UndirectedGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    c5 = UndirectedGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    k = rng.randrange(2, 4)
+    parallel = UndirectedGraph(k, (0,) * k)
+    quotient = rng.choice([parallel, _complement(parallel), p4, c5])
+    if depth == 0 or n < quotient.n:
+        return rng.choice(
+            [
+                _random_graph(n, rng.random(), rng),
+                _poset_incomparability(n, 2, rng),
+                _complement(_poset_incomparability(n, 3, rng)),
+            ]
+        )
+    cuts = [0] + sorted(rng.sample(range(1, n), quotient.n - 1)) + [n]
+    parts = [
+        _random_modular_graph(b - a, depth - 1, rng) for a, b in zip(cuts, cuts[1:])
+    ]
+    return _substitute(quotient, parts)
+
+
+def test_split_orientation_matches_forcing_on_nested_modules():
+    # each connected, co-connected set checks transitivity on its own arcs
+    # once its forcing ends; forcing_orientation checks the whole graph
+    rng = random.Random(15)
+    nones = 0
+    for _ in range(2000):
+        h = _random_modular_graph(rng.randrange(4, 17), rng.randrange(1, 4), rng)
+        nones += _assert_same_as_forcing(_relabelled(h, rng)) is None
+    assert 200 < nones < 1800
+
+
+def test_transitive_within_ignores_arcs_leaving_the_mask():
+    mask = 0b1111  # vertices 0..3; 4 and 5 lie outside
+    # 0->1->2 closed by 0->2; 0->1->4 and 0->5->3 pass through vertex 4 or
+    # 5 and are not closed, which the mask must not see
+    arcs = [(0, 1), (1, 2), (0, 2), (1, 4), (0, 5), (5, 3)]
+    g = Digraph.from_arcs(6, arcs)
+    assert _transitive_within(g.rows, mask)
+    assert not g.is_transitive()
+    # a planted 1->2->3 inside the mask without 1->3
+    g = Digraph.from_arcs(6, arcs + [(2, 3)])
+    assert not _transitive_within(g.rows, mask)
 
 
 def test_orientation_compatible_detects_conflict():
