@@ -14,7 +14,6 @@ import argparse
 import functools
 import json
 import os
-import random
 import stat
 import sys
 from pathlib import Path
@@ -187,7 +186,7 @@ def _cmd_sample(args) -> int:
             dims=args.dims,
             seed=args.seed,
         )
-        drawn = sample(spec, random.Random(args.seed))
+        drawn = sample(spec)
         content = (
             digraph_to_text(drawn)
             if isinstance(drawn, Digraph)

@@ -121,25 +121,16 @@ class Digraph:
         )
 
     def is_transitive(self) -> bool:
-        return _transitive_within(self.rows, (1 << self.n) - 1)
-
-
-def _transitive_within(rows, mask: int) -> bool:
-    """True when the arcs of ``rows`` between vertices of ``mask`` are transitive.
-
-    u->v inside the mask requires out(v) & mask to lie in out(u); arcs
-    leaving the mask are ignored.  Since u is not in out(u), a pair of
-    opposite arcs inside the mask fails too.
-    """
-    for u in _bits(mask):
-        row = rows[u]
-        rest = row & mask
-        while rest:
-            low = rest & -rest
-            if rows[low.bit_length() - 1] & mask & ~row:
-                return False
-            rest ^= low
-    return True
+        # u->v implies out(v) subseteq out(u); asymmetry guarantees u not in out(v)
+        rows = self.rows
+        for row in rows:
+            rest = row
+            while rest:
+                low = rest & -rest
+                if rows[low.bit_length() - 1] & ~row:
+                    return False
+                rest ^= low
+        return True
 
 
 def order_rows(order) -> list[int]:
@@ -260,26 +251,30 @@ def transitive_orientation(h: UndirectedGraph) -> Digraph | None:
       repeat on the set's remaining edges.  A class forcing both
       directions of some edge means no transitive orientation exists.
 
-    The result is the one forcing on the whole graph gives, bit for bit.
-    That one is fixed by the implication classes and by orienting each
-    class from its smallest edge {u<v} as u->v, since each seed is the
-    smallest edge still unoriented.  Every set on the stack is a module of
-    ``h``, and forcing never leaves a module, since a vertex outside it
-    sees both ends of an inner edge or neither; so the classes inside each
-    part are classes of ``h``.  The edges between two co-components form
-    one class, which forces no reversal and whose smallest edge starts at
-    the lower of the two minima.
+    The result is the one forcing on the whole graph gives, bit for bit:
+    each class is oriented from its smallest edge {u<v} as u->v, since
+    each seed is the smallest edge still unoriented.  No transitivity is
+    checked, because a run without a conflict is transitive:
 
-    Transitivity is checked only inside each connected, co-connected set,
-    once its forcing ends.  That is enough: take a path a->b->c and the
-    smallest set T on the stack that holds all three vertices.  If T is
-    disconnected, the path stays inside one component of T, which
-    contradicts T being the smallest.  If T is a series node, its
-    co-components are ordered and every edge between two of them points
-    forward; the path cannot stay inside one co-component, so c lies in a
-    later co-component than a, and a->c is present.  Otherwise T is
-    connected and co-connected, both arcs were oriented by T's own
-    forcing, and T's check covers them.
+    1. Each forcing class inside a set on the stack is an implication
+       class of ``h``: every such set is a module, forcing never leaves a
+       module (a vertex outside sees both ends of an inner edge or
+       neither), and a class is cleared only once it has closed.
+    2. So no conflict means that no class meets its own reverse, which
+       holds exactly for comparability graphs (Golumbic 1980, ch. 5).
+    3. Inside a connected, co-connected set the classes amount to one
+       choice per node of its modular decomposition.  The edges between
+       the children of a prime node form one class pair; with no conflict,
+       each class points one way between two children and orients the
+       node's quotient transitively (Gallai 1967).  Between two co-components C_a, C_b of
+       a nested series node the class is seeded at {min C_a, min C_b}, so
+       the co-components are ordered by their minima, as the stack orders
+       those of a series set.
+    4. Any transitive choice per node composes into a transitive
+       orientation (Gallai 1967): for a->b->c, the lowest node holding all
+       three has children A, B, C holding them; A = C is impossible, A = B
+       or B = C gives a->c since arcs between two children point one way,
+       and otherwise the node's choice gives A->C.
     """
     n, adj = h.n, h.adj
     far = [~(a | 1 << v) for v, a in enumerate(adj)]  # neither v nor adjacent
@@ -348,8 +343,6 @@ def transitive_orientation(h: UndirectedGraph) -> Digraph | None:
                 # earlier would hide forcings that conflict with them
                 for w in touched:
                     cur[w] &= ~(out[w] | into[w])
-        if not _transitive_within(out, s):
-            return None
     return Digraph(n, tuple(out))
 
 
@@ -583,8 +576,10 @@ def digraph_from_text(text: str) -> Digraph:
     arcs = tokens[1:]
     if len(arcs) != m:
         raise ValueError("expected %d arc lines, got %d" % (m, len(arcs)))
+    seen = set()
     for u, v in arcs:
-        _require_ids(n, u, v)
+        _require_new_arc(n, u, v, seen)
+        seen.add((u, v))
     return Digraph.from_arcs(n, arcs)
 
 
@@ -603,7 +598,7 @@ def weighted_from_text(text: str) -> WeightedDigraph:
         if len(row) != 3:
             raise ValueError("weighted arc lines need 'u v w'")
         u, v, w = row
-        _require_ids(n, u, v)
+        _require_new_arc(n, u, v, pairs)
         if w <= 0:
             raise ValueError("only positive weights may be listed")
         pairs[(u, v)] = w
@@ -612,9 +607,11 @@ def weighted_from_text(text: str) -> WeightedDigraph:
     return WeightedDigraph.from_pairs(n, pairs)
 
 
-def _require_ids(n: int, u: int, v: int) -> None:
+def _require_new_arc(n: int, u: int, v: int, seen) -> None:
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError("arc (%d, %d) names a vertex outside 0..%d" % (u, v, n - 1))
+    if (u, v) in seen:
+        raise ValueError("arc (%d, %d) listed twice" % (u, v))
 
 
 def _header_and_rows(text: str, width: int | None):

@@ -63,7 +63,10 @@ def two_voter_orders(e: Digraph) -> tuple[list[int], list[int]] | None:
     incomparability graph has a transitive orientation.  Given a transitive
     reorientation E' of the incomparable pairs, both E u E' and E u conv(E')
     are transitive tournaments; the two corresponding orders agree
-    precisely on E.
+    precisely on E.  So neither ``linear_order`` call can return None:
+    E u E' is a linear order whenever E is transitive and E' transitively
+    orients E's incomparability graph (Dushnik & Miller 1941; Pnueli,
+    Lempel & Even 1971), and conv(E') is such an orientation too.
     """
     if not e.is_transitive():
         return None
@@ -72,8 +75,6 @@ def two_voter_orders(e: Digraph) -> tuple[list[int], list[int]] | None:
         return None
     first = linear_order([a | b for a, b in zip(e.rows, reorient.rows)])
     second = linear_order([a | b for a, b in zip(e.rows, reorient.in_masks())])
-    if first is None or second is None:
-        return None
     return first, second
 
 
@@ -453,7 +454,7 @@ def slater_tournament(f: ThreeCnf, component_size: int = 1) -> GadgetOutput:
                 arcs.update(
                     [(c(j), t(i, 2)), (c(j), t(i, 3)), (t(i, 4), c(j)), (t(i, 5), c(j))]
                 )
-    graph = Digraph.from_arcs(n, sorted(arcs))
+    graph = Digraph.from_arcs(n, arcs)
 
     # single-voter backbone: all variable blocks in position order, then
     # the clause vertices; the three 2-voter blocks overturn exactly the
@@ -481,8 +482,8 @@ def slater_tournament(f: ThreeCnf, component_size: int = 1) -> GadgetOutput:
             else:
                 e3_arcs.add((c(j), t(i, 4)) if lit > 0 else (c(j), t(i, 5)))
                 e4_arcs.add((t(i, 2), c(j)) if lit > 0 else (t(i, 3), c(j)))
-    e3 = Digraph.from_arcs(n, sorted(e3_arcs))
-    e4 = Digraph.from_arcs(n, sorted(e4_arcs))
+    e3 = Digraph.from_arcs(n, e3_arcs)
+    e4 = Digraph.from_arcs(n, e4_arcs)
 
     voters = (tuple(backbone),)
     voters += two_voter_profile(e2).voters

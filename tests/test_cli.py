@@ -152,6 +152,13 @@ def test_out_of_range_vertex_ids_are_usage_errors(name, arc, tmp_path, capsys):
     assert "outside 0..2" in capsys.readouterr().err
 
 
+def test_repeated_arc_line_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "g.dg"
+    path.write_text("2 2\n0 1\n0 1\n")
+    assert cli_dispatch(["dim", "--graph", str(path)]) == 2
+    assert "arc (0, 1) listed twice" in capsys.readouterr().err
+
+
 def test_indented_comment_does_not_make_a_file_weighted(tmp_path, capsys):
     path = tmp_path / "c3.dg"
     path.write_text("3 3\n  # u v\n0 1\n1 2\n2 0\n")

@@ -117,6 +117,26 @@ def test_is_2_inducible_agrees_with_solver(rng):
         assert (two_voter_orders(g) is not None) == (
             check_k_majority(g, 2) is not None
         )
+    # 2-dimensional posets, the pairs two seeded random orders agree on,
+    # are 2-inducible by construction
+    for n in (20, 30, 40):
+        for _ in range(3):
+            ranks = []
+            for _ in range(2):
+                order = list(range(n))
+                rng.shuffle(order)
+                ranks.append({v: i for i, v in enumerate(order)})
+            g = Digraph.from_arcs(
+                n,
+                [
+                    (u, v)
+                    for u, v in itertools.permutations(range(n), 2)
+                    if all(r[u] < r[v] for r in ranks)
+                ],
+            )
+            orders = two_voter_orders(g)
+            assert orders is not None
+            assert induces(Profile.of(n, *orders), g)
 
 
 def test_two_partition_split_is_well_formed():
