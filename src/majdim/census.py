@@ -121,10 +121,12 @@ def run_census(
 
     Returns the aggregate dict {inducible, not_inducible, failures} and
     the per-class rows.  Instances are distributed over ``jobs`` worker
-    threads (the solver releases the GIL, in-process or in a child
-    process, so workers overlap); the aggregate is deterministic
-    regardless of the schedule because rows are collected in enumeration
-    order.
+    threads.  They overlap only while a solve runs in a child process
+    (``MAJDIM_SAT_SOLVER`` set, or a formula above ``IN_PROCESS_CLAUSES``
+    clauses): an in-process search of a census formula is short beside the
+    encoding and decoding around it, which hold the GIL.  The aggregate is
+    deterministic regardless of the schedule because rows are collected
+    in enumeration order.
     """
     instances = list(enumerate_tournaments(n))
     keys = [canonical_form(t) for t in instances]

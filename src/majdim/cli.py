@@ -32,7 +32,7 @@ from .digraph import (
     weighted_to_text,
 )
 from .dimension import SolverTimeout, check_k_majority, dimension
-from .encoding import ParityError
+from .encoding import ModelInconsistencyError, ParityError
 from .gadgets import (
     GadgetOutput,
     banks_tournament,
@@ -408,7 +408,7 @@ def cli_dispatch(argv: list[str]) -> int:
     except SolverTimeout as exc:
         print("timeout: %s" % exc, file=sys.stderr)
         return EXIT_INFRA
-    except SolverError as exc:
+    except (SolverError, ModelInconsistencyError) as exc:
         print("solver failure: %s" % exc, file=sys.stderr)
         return EXIT_INFRA
 

@@ -251,6 +251,17 @@ def transitive_orientation(h: UndirectedGraph) -> Digraph | None:
       repeat on the set's remaining edges.  A class forcing both
       directions of some edge means no transitive orientation exists.
 
+    Only the x-side step tests for that conflict (x->c forced while c->x is
+    there).  Testing the y-side step too (c->y forced while y->c is there)
+    would change no result.  Take the first step of a class that orients an
+    edge against an arc already present, and let it be the y-side step of
+    x->y.  Then x lies in ``cur[y] & far[c]``, and (y, c) went on the class's
+    stack when y->c was oriented.  If it was popped before x->y existed,
+    it oriented y->x, so orienting x->y was an earlier such step (seeds
+    are unoriented edges).  If it was popped after, its x-side test found
+    x in ``into[y]`` and returned None.  If it is still on the stack, it
+    does so before the class closes.
+
     The result is the one forcing on the whole graph gives, bit for bit:
     each class is oriented from its smallest edge {u<v} as u->v, since
     each seed is the smallest edge still unoriented.  No transitivity is
@@ -326,10 +337,7 @@ def transitive_orientation(h: UndirectedGraph) -> Digraph | None:
                         into[c] |= bit
                         stack.append((x, c))
                         touched.append(c)
-                    forced = cur[y] & far[x]
-                    if forced & out[y]:
-                        return None
-                    forced &= ~into[y]
+                    forced = cur[y] & far[x] & ~into[y]
                     into[y] |= forced
                     bit = 1 << y
                     while forced:

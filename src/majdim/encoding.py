@@ -33,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 
 from .cnf import CnfFormula
-from .digraph import Digraph, incomparability_graph
+from .digraph import Digraph, incomparability_graph, linear_order
 from .profiles import Profile
 
 MODES = ("paper_faithful", "optimized")
@@ -231,7 +231,7 @@ def decode_model(
 
     voters = []
     for i, r in enumerate(vm.lits):
-        wins = [0] * n
+        rows = [0] * n
         for a in range(n):
             for b in range(a + 1, n):
                 ab, ba = holds(r[a * n + b]), holds(r[b * n + a])
@@ -239,10 +239,14 @@ def decode_model(
                     raise ModelInconsistencyError(
                         "voter %d ranks %d and %d inconsistently" % (i, a, b)
                     )
-                wins[a if ab else b] += 1
-        if sorted(wins) != list(range(n)):
+                if ab:
+                    rows[a] |= 1 << b
+                else:
+                    rows[b] |= 1 << a
+        order = linear_order(rows)
+        if order is None:
             raise ModelInconsistencyError(
                 "voter %d relation is not transitive" % i
             )
-        voters.append(tuple(sorted(range(n), key=lambda v: -wins[v])))
+        voters.append(tuple(order))
     return Profile(n=n, voters=tuple(voters))

@@ -36,17 +36,11 @@ def _margin_matrix(p: Profile) -> list[list[int]]:
     n = p.n
     w = [[0] * n for _ in range(n)]
     for order in p.voters:
-        pos = [0] * n
-        for rank, v in enumerate(order):
-            pos[v] = rank
-        for u in range(n):
-            for v in range(u + 1, n):
-                if pos[u] < pos[v]:
-                    w[u][v] += 1
-                    w[v][u] -= 1
-                else:
-                    w[v][u] += 1
-                    w[u][v] -= 1
+        for i, u in enumerate(order):
+            wu = w[u]
+            for v in order[i + 1:]:
+                wu[v] += 1
+                w[v][u] -= 1
     return w
 
 

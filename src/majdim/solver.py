@@ -5,17 +5,19 @@ first use it is compiled once as a position-independent object and linked
 twice, as an executable and as a shared library, both cached under
 ``~/.cache/majdim`` (or ``MAJDIM_CACHE``).  A formula of at most
 ``IN_PROCESS_CLAUSES`` clauses is solved in-process: its DIMACS text goes
-to the library's ``mc_solve`` through ``ctypes``, which releases the GIL
-while it searches, so census worker threads run side by side.  A larger
-formula runs the executable as a child process on a temporary DIMACS file,
-so that the learnt clauses of a long search never count in the caller's
-memory.
+to the library's ``mc_solve`` through ``ctypes``.  A larger formula runs
+the executable as a child process on a temporary DIMACS file, so that the
+learnt clauses of a long search never count in the caller's memory.
+Census worker threads overlap only on child-process solves: ``ctypes``
+releases the GIL during ``mc_solve``, but the search of a small formula is
+short beside the Python work around it.
 
-Any solver that reads a DIMACS CNF file argument and prints
-``s SATISFIABLE`` / ``s UNSATISFIABLE`` plus ``v`` model lines works as a
-backend.  The ``MAJDIM_SAT_SOLVER`` environment variable (shell-style, may
-include arguments) names one; every formula then goes to it as a child
-process.
+Any solver that reads a DIMACS CNF file argument, prints
+``s SATISFIABLE`` / ``s UNSATISFIABLE`` plus ``v`` model lines and exits
+with 0, 10 or 20 works as a backend; any other exit, a signal included,
+is a ``SolverError`` whatever it printed.  The ``MAJDIM_SAT_SOLVER``
+environment variable (shell-style, may include arguments) names one;
+every formula then goes to it as a child process.
 """
 
 from __future__ import annotations
@@ -236,6 +238,14 @@ def _solve_in_child(f: CnfFormula, timeout: float | None) -> SolveResult:
 
 
 def _parse_output(stdout: str, returncode: int, stderr: str) -> SolveResult:
+    # 10 and 20 are the SAT-competition codes the bundled executable uses
+    if returncode not in (0, _MC_SAT, _MC_UNSAT):
+        how = (
+            "was killed by signal %d" % -returncode
+            if returncode < 0
+            else "exited with code %d" % returncode
+        )
+        raise SolverError("backend %s: %s" % (how, (stderr or stdout)[:500]))
     status = None
     model_lits: list[int] = []
     stats: dict[str, int] = {}

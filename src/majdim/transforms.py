@@ -178,39 +178,24 @@ def to_ordered3(f: ThreeCnf) -> ThreeCnf:
     every variable ordered.
     """
     clauses, num_vars = _preprocess(f)
-    gadget_rows = []  # (clause index, [c1..c6])
-    n = num_vars
+    # one sort on (|carried literal|, negated, j, clause index); c1..c4
+    # carry their first literal, the literal-free tails c5, c6 carry
+    # num_vars + 1, so they come last, all c5 before all c6
+    keyed = []
+    n, tail = num_vars, num_vars + 1
     for ci, (l1, l2, l3) in enumerate(clauses):
         x, xp, y, z = n + 1, n + 2, n + 3, n + 4
         n += 4
-        gadget_rows.append(
-            (
-                ci,
-                [
-                    (l1, x, xp),
-                    (l2, -x, y),
-                    (l2, -xp, y),
-                    (l3, -y, z),
-                    (-x, -y, -z),
-                    (-xp, -y, -z),
-                ],
-            )
+        rows = (
+            (l1, x, xp), (l2, -x, y), (l2, -xp, y), (l3, -y, z),
+            (-x, -y, -z), (-xp, -y, -z),
         )
-    # block order: per original variable p ascending, the gadget clauses
-    # whose carried literal is p (j = 1..4), then those carrying ~p; the
-    # literal-free tails (c5, c6) come last.
-    out: list[tuple[int, ...]] = []
-    for p in range(1, num_vars + 1):
-        for want_neg in (False, True):
-            for j in range(4):
-                for ci, row in gadget_rows:
-                    carried = clauses[ci][0 if j == 0 else 1 if j < 3 else 2]
-                    if abs(carried) == p and (carried < 0) == want_neg:
-                        out.append(tuple(sorted(row[j], key=abs)))
-    for j in (4, 5):
-        for ci, row in gadget_rows:
-            out.append(tuple(sorted(row[j], key=abs)))
-    return ThreeCnf(n, tuple(out))
+        for j, row in enumerate(rows):
+            carried = row[0] if j < 4 else tail
+            key = (abs(carried), carried < 0, j, ci)
+            keyed.append((key, tuple(sorted(row, key=abs))))
+    keyed.sort()
+    return ThreeCnf(n, tuple(row for _, row in keyed))
 
 
 def to_reducedfew(f: ThreeCnf) -> ThreeCnf:

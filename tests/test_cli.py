@@ -7,6 +7,7 @@ import ast
 import json
 import os
 import shlex
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -261,6 +262,52 @@ def test_external_backend_answers_check(t5_file, monkeypatch, capsys):
     assert induces(witness, TOURNAMENT_5)
 
 
+def _fake_backend(tmp_path, monkeypatch, body):
+    """Point MAJDIM_SAT_SOLVER at a Python script running ``body``."""
+    script = tmp_path / "fake_solver.py"
+    script.write_text("import os, resource, signal, sys\n" + body)
+    monkeypatch.setenv(
+        "MAJDIM_SAT_SOLVER", shlex.join([sys.executable, str(script)])
+    )
+
+
+@pytest.fixture
+def c3_file(tmp_path):
+    p = tmp_path / "c3.dg"
+    p.write_text("3 3\n0 1\n1 2\n2 0\n")
+    return p
+
+
+@pytest.mark.parametrize(
+    "ending, message",
+    [
+        (
+            # no core file from the deliberate crash
+            "resource.setrlimit(resource.RLIMIT_CORE, (0, 0))\n"
+            "os.kill(os.getpid(), signal.SIGSEGV)",
+            "backend was killed by signal %d" % signal.SIGSEGV,
+        ),
+        ("sys.exit(1)", "backend exited with code 1"),
+    ],
+    ids=["sigsegv", "exit-1"],
+)
+def test_crashed_backend_verdict_is_not_trusted(
+    ending, message, c3_file, tmp_path, monkeypatch, capsys
+):
+    body = 'print("s UNSATISFIABLE", flush=True)\n' + ending + "\n"
+    _fake_backend(tmp_path, monkeypatch, body)
+    assert cli_dispatch(["check", "--graph", str(c3_file), "-k", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure:") and message in err
+
+
+def test_wrong_backend_model_exits_three(c3_file, tmp_path, monkeypatch, capsys):
+    _fake_backend(tmp_path, monkeypatch, 'print("s SATISFIABLE")\nprint("v 1 0")\n')
+    assert cli_dispatch(["dim", "--graph", str(c3_file)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure:") and err.count("\n") == 1
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert cli_dispatch(["frobnicate"]) == 2
     capsys.readouterr()
@@ -289,6 +336,15 @@ def test_census_csv(tmp_path, capsys):
     assert summary["inducible"] == 4 and summary["failures"] == []
 
 
+def test_census_with_two_jobs_matches_one(capsys):
+    outputs = []
+    for jobs in ("1", "2"):
+        assert cli_dispatch(["census", "--n", "4", "--k", "3", "--jobs", jobs]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        outputs.append([row.rsplit(",", 1)[0] for row in rows])  # drop seconds
+    assert outputs[0] == outputs[1] and len(outputs[0]) == 5
+
+
 def test_sample_requires_seed(tmp_path, capsys):
     code = cli_dispatch(["sample", "--model", "ic", "--n", "4"])
     capsys.readouterr()
@@ -311,6 +367,13 @@ def test_sample_writes_content_and_sidecar(tmp_path, capsys):
         "model": "mallows", "n": 5, "voters": 7, "phi": 0.5, "seed": 42,
     }
     capsys.readouterr()
+
+
+def test_sample_qr_writes_the_paley_tournament(capsys):
+    assert cli_dispatch(["sample", "--model", "qr", "--n", "7", "--seed", "0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["metadata"] == {"model": "qr", "p": 7, "seed": 0}
+    assert payload["content"] == digraph_to_text(qr_tournament(7))
 
 
 def test_sample_is_reproducible(tmp_path, capsys):
@@ -356,6 +419,29 @@ def test_gadget_weighted_rule_round_trips(cnf_file, tmp_path, capsys):
             "gadget", "--rule", "rp-digraph", "--cnf", str(cnf_file),
             "--out-graph", str(graph), "--out-profile", str(prof),
         ]
+    )
+    assert code == 0
+    capsys.readouterr()
+    assert cli_dispatch(
+        ["verify", "--graph", str(graph), "--profile", str(prof)]
+    ) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "rule_args",
+    [["kemeny", "--graph"], ["slater", "--component-size", "2", "--cnf"]],
+    ids=["kemeny", "slater-component-size-2"],
+)
+def test_gadget_other_inputs_verify(
+    rule_args, t5_file, cnf_file, tmp_path, capsys
+):
+    source = t5_file if rule_args[0] == "kemeny" else cnf_file
+    graph = tmp_path / "g.dg"
+    prof = tmp_path / "g.prof"
+    code = cli_dispatch(
+        ["gadget", "--rule", *rule_args, str(source),
+         "--out-graph", str(graph), "--out-profile", str(prof)]
     )
     assert code == 0
     capsys.readouterr()

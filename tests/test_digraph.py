@@ -575,6 +575,22 @@ def test_split_orientation_matches_forcing_on_nested_modules():
     assert 200 < flipped_nones < 1800
 
 
+def test_split_orientation_matches_forcing_on_every_small_graph():
+    # every labelled graph on 1..6 vertices; the reference also tests the
+    # y-side forcing step for a conflict, which transitive_orientation
+    # leaves to the x-side one
+    total = nones = 0
+    for n in range(1, 7):
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            h = UndirectedGraph.from_edges(
+                n, [pair for i, pair in enumerate(pairs) if bits >> i & 1]
+            )
+            nones += _assert_same_as_forcing(h) is None
+            total += 1
+    assert (total, nones) == (33867, 2616)
+
+
 def test_orientation_compatible_detects_conflict():
     a = Digraph.from_arcs(3, [(0, 1)])
     b = Digraph.from_arcs(3, [(1, 0), (1, 2)])
