@@ -55,7 +55,8 @@
 
 typedef struct Clause {
     unsigned size;
-    unsigned learned;
+    unsigned learned : 1;
+    unsigned pos : 31;           /* index in learnts, set by reduce_db */
     double act;
     int lits[];
 } Clause;
@@ -317,7 +318,8 @@ static int cmp_act(const void *a, const void *b)
     const Clause *ca = *(Clause *const *)a, *cb = *(Clause *const *)b;
     if (ca->act < cb->act) return -1;
     if (ca->act > cb->act) return 1;
-    return 0;
+    /* ties keep their order in learnts, whatever qsort the C library has */
+    return (ca->pos > cb->pos) - (ca->pos < cb->pos);
 }
 
 static void detach(Solver *s, Clause *c)
@@ -335,6 +337,7 @@ static void detach(Solver *s, Clause *c)
 static void reduce_db(Solver *s)
 {
     CVec *learnts = &s->learnts;
+    for (int i = 0; i < learnts->size; i++) learnts->data[i]->pos = i;
     qsort(learnts->data, learnts->size, sizeof(Clause *), cmp_act);
     int keep = learnts->size / 2, j = 0;
     for (int i = 0; i < learnts->size; i++) {

@@ -1,4 +1,11 @@
-"""CNF formulas and DIMACS serialization (signed-integer literal convention)."""
+"""CNF formulas and DIMACS serialization (signed-integer literal convention).
+
+``to_dimacs`` writes a fixed text: the ``p cnf V C`` line, then one line
+per clause in the formula's order, its literals in clause order as
+``str(lit)`` separated by single spaces and closed by `` 0``, every line
+ending in a newline.  The bundled solver's search is a deterministic
+function of this text, so the writer keeps it byte for byte.
+"""
 
 from __future__ import annotations
 
@@ -27,10 +34,16 @@ class CnfFormula:
 
 
 def to_dimacs(f: CnfFormula) -> str:
-    out = ["p cnf %d %d" % (f.num_vars, len(f.clauses))]
+    # one format string per clause length, whose %s writes str(lit);
+    # tuple() lets a clause given as a list fill it too
+    formats: dict[int, str] = {}
+    lines = ["p cnf %d %d\n" % (f.num_vars, len(f.clauses))]
     for clause in f.clauses:
-        out.append(" ".join(str(lit) for lit in clause) + " 0")
-    return "\n".join(out) + "\n"
+        fmt = formats.get(len(clause))
+        if fmt is None:
+            fmt = formats[len(clause)] = "%s " * len(clause) + "0\n"
+        lines.append(fmt % tuple(clause))
+    return "".join(lines)
 
 
 def from_dimacs(text: str) -> CnfFormula:

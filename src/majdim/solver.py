@@ -15,9 +15,10 @@ short beside the Python work around it.
 Any solver that reads a DIMACS CNF file argument, prints
 ``s SATISFIABLE`` / ``s UNSATISFIABLE`` plus ``v`` model lines and exits
 with 0, 10 or 20 works as a backend; any other exit, a signal included,
-is a ``SolverError`` whatever it printed.  The ``MAJDIM_SAT_SOLVER``
-environment variable (shell-style, may include arguments) names one;
-every formula then goes to it as a child process.
+is a ``SolverError`` whatever it printed, and so is a model that does not
+give every variable of the formula exactly one value.  The
+``MAJDIM_SAT_SOLVER`` environment variable (shell-style, may include
+arguments) names one; every formula then goes to it as a child process.
 """
 
 from __future__ import annotations
@@ -54,7 +55,9 @@ _MC_ERRORS = {
     -3: "malformed DIMACS input",
 }
 
-_loaded: dict[Path, object] = {}  # mc_solve of each loaded library
+# mc_solve of each loaded library, keyed on the MAJDIM_CACHE and HOME
+# values its path comes from, so a solve builds no Path to find it
+_loaded: dict[tuple[str | None, str | None], object] = {}
 
 
 class SolverError(RuntimeError):
@@ -131,9 +134,10 @@ def bundled_solver_path() -> Path:
 
 def _mc_solve():
     """The library's ``mc_solve``, built and loaded on first use."""
-    library = _cached("libminicdcl-", ".so")
-    fn = _loaded.get(library)
+    key = (os.environ.get("MAJDIM_CACHE"), os.environ.get("HOME"))
+    fn = _loaded.get(key)
     if fn is None:
+        library = _cached("libminicdcl-", ".so")
         if not library.exists():
             _build()
         import ctypes
@@ -149,7 +153,7 @@ def _mc_solve():
             ctypes.c_char_p, ctypes.c_size_t, ctypes.c_double,
             ctypes.c_char_p, ctypes.c_size_t, ctypes.POINTER(ctypes.c_longlong),
         )
-        _loaded[library] = fn
+        _loaded[key] = fn
     return fn
 
 
@@ -232,12 +236,19 @@ def _solve_in_child(f: CnfFormula, timeout: float | None) -> SolveResult:
             return SolveResult("timeout")
         except OSError as exc:
             raise SolverError("failed to launch SAT backend: %s" % exc)
-        return _parse_output(proc.stdout, proc.returncode, proc.stderr)
+        return _parse_output(proc.stdout, proc.returncode, proc.stderr, f.num_vars)
     finally:
         os.unlink(path)
 
 
-def _parse_output(stdout: str, returncode: int, stderr: str) -> SolveResult:
+def _parse_output(
+    stdout: str, returncode: int, stderr: str, num_vars: int
+) -> SolveResult:
+    """Read a backend's answer to a formula over variables 1..``num_vars``.
+
+    A model must give each of those variables exactly one sign, and name
+    no other; anything else is a ``SolverError``.
+    """
     # 10 and 20 are the SAT-competition codes the bundled executable uses
     if returncode not in (0, _MC_SAT, _MC_UNSAT):
         how = (
@@ -277,5 +288,16 @@ def _parse_output(stdout: str, returncode: int, stderr: str) -> SolveResult:
     for lit in model_lits:
         if lit == 0:
             continue
-        model[abs(lit)] = lit > 0
+        var = abs(lit)
+        if var > num_vars:
+            raise SolverError(
+                "backend model names variable %d of a %d-variable formula"
+                % (var, num_vars)
+            )
+        if model.setdefault(var, lit > 0) != (lit > 0):
+            raise SolverError("backend model gives variable %d both signs" % var)
+    if len(model) != num_vars:
+        raise SolverError(
+            "backend model assigns %d of %d variables" % (len(model), num_vars)
+        )
     return SolveResult("sat", model, stats or None)

@@ -7,7 +7,14 @@ import random
 
 import pytest
 
-from majdim import Digraph, Profile, UndirectedGraph, induces, majority_digraph
+from majdim import (
+    CnfFormula,
+    Digraph,
+    Profile,
+    UndirectedGraph,
+    induces,
+    majority_digraph,
+)
 
 # A 5-vertex tournament known to be 3-inducible; INDUCING_PROFILE is a
 # hand-checked witness, used as an oracle for encoder round-trip tests.
@@ -153,6 +160,18 @@ def forcing_orientation(h: UndirectedGraph) -> Digraph | None:
     if not oriented.is_transitive():
         return None
     return oriented
+
+
+def reference_to_dimacs(f: CnfFormula) -> str:
+    """Reference DIMACS writer: one join per clause, one for the file.
+
+    ``majdim.cnf.to_dimacs`` must give the same bytes, since the bundled
+    solver's search depends on the exact text.
+    """
+    out = ["p cnf %d %d" % (f.num_vars, len(f.clauses))]
+    for clause in f.clauses:
+        out.append(" ".join(str(lit) for lit in clause) + " 0")
+    return "\n".join(out) + "\n"
 
 
 def majority_of(voters) -> Digraph:

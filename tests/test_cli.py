@@ -306,6 +306,8 @@ def test_wrong_backend_model_exits_three(c3_file, tmp_path, monkeypatch, capsys)
     assert cli_dispatch(["dim", "--graph", str(c3_file)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("solver failure:") and err.count("\n") == 1
+    # rejected where it is parsed, before decoding could read it
+    assert "backend model assigns" in err and "induce" not in err
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

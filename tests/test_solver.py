@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from majdim import encode_check_k, qr_tournament
+from majdim import cultures, encode_check_k, qr_tournament
 from majdim import solver
 from majdim.census import run_census
 from majdim.cnf import CnfFormula, to_dimacs
@@ -21,6 +21,7 @@ from majdim.solver import (
     IN_PROCESS_CLAUSES,
     STATS,
     SolverError,
+    _parse_output,
     _solve_in_child,
     _solve_in_process,
     bundled_solver_path,
@@ -65,6 +66,36 @@ def test_unsat_statistics_agree():
     inside, child = both_routes(f)
     assert inside.status == child.status == "unsat"
     assert inside.stats == child.stats
+
+
+def test_learnt_clause_deletion_is_pinned():
+    # 19 810 clauses: a child-process search that runs reduce_db, so a
+    # change of clause order, literal order or tie order moves the counts
+    g = cultures.sample(cultures.CultureSpec("uniform_tournament", n=21, seed=0))
+    result = solve(encode_check_k(g, 5)[0])
+    assert result.is_sat
+    assert result.stats == {"conflicts": 12561, "decisions": 49675, "restarts": 42}
+
+
+@pytest.mark.parametrize(
+    "model, error",
+    [
+        ("v 1 -2 0", "assigns 2 of 3 variables"),
+        ("v 1 -2 3 4 0", "names variable 4 of a 3-variable formula"),
+        ("v 1 -2 3 -1 0", "gives variable 1 both signs"),
+        ("v 1 -2 3 0", None),
+        ("v 1 -2\nv 3 1 0", None),
+    ],
+    ids=["missing", "out-of-range", "contradictory", "complete", "repeated"],
+)
+def test_backend_model_must_assign_every_variable(model, error):
+    stdout = "s SATISFIABLE\n%s\n" % model
+    if error is None:
+        result = _parse_output(stdout, 10, "", 3)
+        assert result.model == {1: True, 2: False, 3: True}
+    else:
+        with pytest.raises(SolverError, match=error):
+            _parse_output(stdout, 10, "", 3)
 
 
 def test_random_three_cnf_against_truth_tables():
