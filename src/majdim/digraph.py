@@ -73,6 +73,8 @@ class Digraph:
     def from_arcs(n: int, arcs) -> "Digraph":
         rows = [0] * n
         for u, v in arcs:
+            if not (0 <= u < n and 0 <= v < n):
+                raise _outside(n, u, v)
             rows[u] |= 1 << v
         return Digraph(n, tuple(rows))
 
@@ -193,6 +195,8 @@ class UndirectedGraph:
     def from_edges(n: int, edges) -> "UndirectedGraph":
         adj = [0] * n
         for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise _outside(n, u, v)
             if u == v:
                 raise ValueError("self-loop")
             adj[u] |= 1 << v
@@ -538,6 +542,8 @@ class WeightedDigraph:
         w = [[0] * n for _ in range(n)]
         seen = set()
         for (u, v), weight in pairs.items():
+            if not (0 <= u < n and 0 <= v < n):
+                raise _outside(n, u, v)
             if frozenset((u, v)) in seen:
                 raise ValueError("pair (%d, %d) specified twice" % (u, v))
             seen.add(frozenset((u, v)))
@@ -615,9 +621,13 @@ def weighted_from_text(text: str) -> WeightedDigraph:
     return WeightedDigraph.from_pairs(n, pairs)
 
 
+def _outside(n: int, u: int, v: int) -> ValueError:
+    return ValueError("arc (%d, %d) names a vertex outside 0..%d" % (u, v, n - 1))
+
+
 def _require_new_arc(n: int, u: int, v: int, seen) -> None:
     if not (0 <= u < n and 0 <= v < n):
-        raise ValueError("arc (%d, %d) names a vertex outside 0..%d" % (u, v, n - 1))
+        raise _outside(n, u, v)
     if (u, v) in seen:
         raise ValueError("arc (%d, %d) listed twice" % (u, v))
 

@@ -16,6 +16,10 @@ exactly.  The profiles are assembled from reusable pieces:
 Voter counts are constants fixed by the constructions: 5 (Banks), 7
 (tournament equilibrium set), 4 (Kemeny arc subdivision), 7 (Slater),
 8 (ranked pairs digraph), and 11 (ranked pairs tournament).
+
+The unweighted compilers write their graphs and dense blocks straight
+into out-neighbour rows; ``Digraph.from_arcs`` takes only the sparse arc
+sets listed one by one (exception arcs, links, star forests, Kemeny).
 """
 
 from __future__ import annotations
@@ -238,34 +242,28 @@ def _chassis_blocks(f: ThreeCnf, spacing: int):
             labels.update(zip(ids, f.clauses[(i - 1) // spacing]))
         n += len(ids)
         u_ids.append(ids)
-    return m, n, u_ids, _literal_exception_arcs(u_ids, labels)
+    return m, n, u_ids, Digraph.from_arcs(n, _literal_exception_arcs(u_ids, labels))
 
 
-def _chassis_arcs(m: int, u_ids, skip) -> set[tuple[int, int]]:
-    """Arcs between clause vertices and blocks, bar the reverses of ``skip``.
+def _chassis_rows(u_ids, skip: Digraph) -> list[int]:
+    """Out-neighbour rows of ``skip`` plus every chassis arc it does not reverse.
 
-    Callers add their own arcs to the returned set in place: a union into
-    a new set would hold two copies of tens of thousands of arcs at once.
+    The chassis arcs: later clause vertices beat earlier ones, earlier
+    blocks beat later ones, and each clause vertex beats every block but
+    its own, to which it loses.  Only arcs between blocks can run against
+    ``skip``; masking each block vertex's later blocks with its in-mask
+    in ``skip`` leaves them out.
     """
-    arcs: set[tuple[int, int]] = set()
-    for j in range(m + 1):  # later clause vertices beat earlier ones
-        for i in range(j):
-            arcs.add((j, i))
-    for i in range(1, m + 1):  # earlier blocks beat later ones, bar skip
-        for j in range(i + 1, m + 1):
-            for a in u_ids[i]:
-                for b in u_ids[j]:
-                    if (b, a) not in skip:
-                        arcs.add((a, b))
-    for i in range(m + 1):  # clause vertices beat every foreign block
-        for j in range(1, m + 1):
-            if i != j:
-                for b in u_ids[j]:
-                    arcs.add((i, b))
-    for i in range(1, m + 1):  # but lose to their own block
-        for a in u_ids[i]:
-            arcs.add((a, i))
-    return arcs
+    rows = list(skip.rows)
+    skip_in = skip.in_masks()
+    masks = [sum(1 << a for a in ids) for ids in u_ids]
+    blocks = later = sum(masks)
+    for i, ids in enumerate(u_ids):
+        rows[i] |= (1 << i) - 1 | blocks & ~masks[i]
+        later &= ~masks[i]
+        for a in ids:
+            rows[a] |= later & ~skip_in[a] | 1 << i
+    return rows
 
 
 def banks_tournament(f: ThreeCnf) -> GadgetOutput:
@@ -280,23 +278,17 @@ def banks_tournament(f: ThreeCnf) -> GadgetOutput:
     ascending position.
     """
     _require_ordered(f)
-    m, n, u_ids, phi = _chassis_blocks(f, 2)
-    arcs = _chassis_arcs(m, u_ids, phi)
-    arcs |= phi
-    for i in range(1, m + 1):  # transitive triple inside each block
-        ids = u_ids[i]
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                arcs.add((ids[a], ids[b]))
-    graph = Digraph.from_arcs(n, arcs)
+    m, n, u_ids, e2 = _chassis_blocks(f, 2)
+    rows = _chassis_rows(u_ids, e2)
+    for ids in u_ids:  # transitive triple inside each block
+        if len(ids) == 3:
+            a, b, c = ids
+            rows[a] |= 1 << b | 1 << c
+            rows[b] |= 1 << c
+    graph = Digraph(n, tuple(rows))
 
-    e1 = Digraph.from_arcs(
-        n, [(a, i) for i in range(1, m + 1) for a in u_ids[i]]
-    )
-    e2 = Digraph.from_arcs(n, phi)
-    completion = list(range(m, -1, -1))
-    for i in range(1, m + 1):
-        completion.extend(u_ids[i])
+    e1 = Digraph.from_arcs(n, [(a, i) for i, ids in enumerate(u_ids) for a in ids])
+    completion = list(range(m, -1, -1)) + [a for ids in u_ids for a in ids]
     _certify_completion(graph, (e1, e2), completion)
     return _certified(graph, 0, [e1, e2], completion)
 
@@ -312,47 +304,47 @@ def teq_tournament(f: ThreeCnf) -> GadgetOutput:
     The certifying profile has 7 voters.
     """
     _require_ordered(f)
-    m, n, u_ids, phi = _chassis_blocks(f, 4)
-    link: set[tuple[int, int]] = set()  # unlabeled triple beats its upstream
-    for i in range(3, m + 1, 4):
-        for a in range(3):
-            for b in range(3):
-                if a != b:
-                    link.add((u_ids[i][a], u_ids[i - 2][b]))
-
-    skip = phi | link
-    arcs = _chassis_arcs(m, u_ids, skip)
-    arcs |= skip
-    for i in range(1, m + 1):  # 3-cycle inside each triple
-        ids = u_ids[i]
+    m, n, u_ids, e2 = _chassis_blocks(f, 4)
+    link = Digraph.from_arcs(  # unlabeled triple beats its upstream
+        n,
+        [
+            (u_ids[i][a], u_ids[i - 2][b])
+            for i in range(3, m + 1, 4)
+            for a in range(3)
+            for b in range(3)
+            if a != b
+        ],
+    )
+    rows = _chassis_rows(
+        u_ids, Digraph(n, tuple(a | b for a, b in zip(e2.rows, link.rows)))
+    )
+    for ids in u_ids:  # 3-cycle inside each triple
         if len(ids) == 3:
-            arcs.update([(ids[0], ids[1]), (ids[1], ids[2]), (ids[2], ids[0])])
-    graph = Digraph.from_arcs(n, arcs)
+            a, b, c = ids
+            rows[a] |= 1 << b
+            rows[b] |= 1 << c
+            rows[c] |= 1 << a
+    graph = Digraph(n, tuple(rows))
 
     # first block: every clause vertex beats everything at lower positions,
     # each triple's third token beats its first, and each unlabeled triple's
     # outer tokens beat the middle token two positions back; transitivity
     # of this set is what lets two voters carry it
-    e1_arcs: list[tuple[int, int]] = []
-    for i in range(m + 1):
-        for j in range(i):
-            e1_arcs.append((i, j))
-            e1_arcs.extend((i, b) for b in u_ids[j])
-    for i in range(1, m + 1):
-        ids = u_ids[i]
+    e1_rows = [0] * n
+    earlier = 0
+    for i, ids in enumerate(u_ids):
+        e1_rows[i] = (1 << i) - 1 | earlier
+        earlier |= sum(1 << a for a in ids)
         if len(ids) == 3:
-            e1_arcs.append((ids[2], ids[0]))
+            e1_rows[ids[2]] |= 1 << ids[0]
     for i in range(3, m + 1, 4):
-        e1_arcs.append((u_ids[i][0], u_ids[i - 2][1]))
-        e1_arcs.append((u_ids[i][2], u_ids[i - 2][1]))
-    e1 = Digraph.from_arcs(n, e1_arcs)
-    e2 = Digraph.from_arcs(n, phi)
-    e3 = Digraph.from_arcs(n, link - set(e1.arcs()))
+        middle = 1 << u_ids[i - 2][1]
+        e1_rows[u_ids[i][0]] |= middle
+        e1_rows[u_ids[i][2]] |= middle
+    e1 = Digraph(n, tuple(e1_rows))
+    e3 = Digraph(n, tuple(a & ~b for a, b in zip(link.rows, e1_rows)))
 
-    completion = [0]
-    for i in range(1, m + 1):
-        completion.extend(u_ids[i])
-        completion.append(i)
+    completion = [0] + [v for i in range(1, m + 1) for v in (*u_ids[i], i)]
     _certify_completion(graph, (e1, e2, e3), completion)
     return _certified(graph, 0, [e1, e2, e3], completion)
 
@@ -421,40 +413,33 @@ def slater_tournament(f: ThreeCnf, component_size: int = 1) -> GadgetOutput:
     def c(j: int) -> int:
         return 6 * m + (j - 1)
 
-    arcs: set[tuple[int, int]] = set()
+    rows = [0] * n
+    tokens = (1 << 6 * m) - 1  # every t_i^j
+    firsts = sum(1 << t(i, 1) for i in range(1, m + 1))
     for i in range(1, m + 1):
-        arcs.update([(t(i, 1), t(i, 2)), (t(i, 2), t(i, 3)), (t(i, 3), t(i, 1))])
+        later = tokens ^ ((1 << 6 * i) - 1)  # the tokens of later variables
+        for a in range(1, 7):
+            rows[t(i, a)] |= later
+        for a, b in ((1, 2), (2, 3), (3, 1)):
+            rows[t(i, a)] |= 1 << t(i, b)
         for upper in (4, 5, 6):
             for lower in range(1, upper):
-                arcs.add((t(i, lower), t(i, upper)))
-    for i1 in range(1, m + 1):
-        for i2 in range(i1 + 1, m + 1):
-            for a in range(1, 7):
-                for b in range(1, 7):
-                    arcs.add((t(i1, a), t(i2, b)))
-    for j1 in range(1, num_clauses + 1):
-        for j2 in range(j1 + 1, num_clauses + 1):
-            arcs.add((c(j1), c(j2)))
-    for i in range(1, m + 1):
-        for j in range(1, num_clauses + 1):
-            arcs.add((t(i, 6), c(j)))
-            arcs.add((c(j), t(i, 1)))
+                rows[t(i, lower)] |= 1 << t(i, upper)
+        rows[t(i, 6)] |= tokens ^ ((1 << n) - 1)  # every clause vertex
+    # the two of t_i^2..t_i^5 that beat c_j, by the sign of variable i in
+    # clause j (None: absent)
+    beaters = {True: (2, 5), False: (3, 4), None: (4, 5)}
     for j, clause in enumerate(f.clauses, start=1):
+        rows[c(j)] |= (1 << n) - (2 << c(j)) | firsts  # later c_j', every t_i^1
         polarity = {abs(lit): lit > 0 for lit in clause}
         for i in range(1, m + 1):
-            if polarity.get(i) is True:
-                arcs.update(
-                    [(t(i, 2), c(j)), (c(j), t(i, 3)), (c(j), t(i, 4)), (t(i, 5), c(j))]
-                )
-            elif polarity.get(i) is False:
-                arcs.update(
-                    [(c(j), t(i, 2)), (t(i, 3), c(j)), (t(i, 4), c(j)), (c(j), t(i, 5))]
-                )
-            else:
-                arcs.update(
-                    [(c(j), t(i, 2)), (c(j), t(i, 3)), (t(i, 4), c(j)), (t(i, 5), c(j))]
-                )
-    graph = Digraph.from_arcs(n, arcs)
+            beats = beaters[polarity.get(i)]
+            for a in (2, 3, 4, 5):
+                if a in beats:
+                    rows[t(i, a)] |= 1 << c(j)
+                else:
+                    rows[c(j)] |= 1 << t(i, a)
+    graph = Digraph(n, tuple(rows))
 
     # single-voter backbone: all variable blocks in position order, then
     # the clause vertices; the three 2-voter blocks overturn exactly the
@@ -462,15 +447,8 @@ def slater_tournament(f: ThreeCnf, component_size: int = 1) -> GadgetOutput:
     backbone = [t(i, j) for i in range(1, m + 1) for j in range(1, 7)]
     backbone += [c(j) for j in range(1, num_clauses + 1)]
 
-    e2 = Digraph.from_arcs(
-        n,
-        [
-            (c(j), t(i, a))
-            for j in range(1, num_clauses + 1)
-            for i in range(1, m + 1)
-            for a in (1, 2, 3)
-        ],
-    )
+    lows = sum(1 << t(i, a) for i in range(1, m + 1) for a in (1, 2, 3))
+    e2 = Digraph(n, (0,) * 6 * m + (lows,) * num_clauses)
     e3_arcs: set[tuple[int, int]] = {(t(i, 3), t(i, 1)) for i in range(1, m + 1)}
     e4_arcs: set[tuple[int, int]] = set()
     for j, clause in enumerate(f.clauses, start=1):
@@ -515,50 +493,43 @@ def _replicate_components(
     descending, so chain-internal pairs end up at margin 1 just like
     everything else.
     """
-    tail = graph.n - head
-    n = head * copies + tail
+    n = graph.n + head * (copies - 1)
+    spans = [range(v * copies, (v + 1) * copies) for v in range(head)]
+    spans += [range(v, v + 1) for v in range(head * copies, n)]
+    masks = [(1 << s.stop) - (1 << s.start) for s in spans]
 
-    def span(v: int) -> range:
-        if v < head:
-            return range(v * copies, (v + 1) * copies)
-        base = head * copies + (v - head)
-        return range(base, base + 1)
+    def lift(block: Digraph) -> list[int]:
+        # each copy of v beats the spans of all of v's out-neighbours
+        rows = [0] * n
+        for v, row in enumerate(block.rows):
+            lifted = 0
+            while row:
+                low = row & -row
+                lifted |= masks[low.bit_length() - 1]
+                row ^= low
+            for v2 in spans[v]:
+                rows[v2] = lifted
+        return rows
 
-    arcs: list[tuple[int, int]] = []
-    for a, b in graph.arcs():
-        arcs.extend((a2, b2) for a2 in span(a) for b2 in span(b))
-    for v in range(head):
-        chain = list(span(v))
-        arcs.extend(
-            (chain[i], chain[j])
-            for i in range(copies)
-            for j in range(i + 1, copies)
-        )
-    new_graph = Digraph.from_arcs(n, arcs)
+    rows = lift(graph)
+    for v in range(head):  # each chain ascending
+        for v2 in spans[v]:
+            rows[v2] |= masks[v] & -(2 << v2)
+    new_graph = Digraph(n, tuple(rows))
 
     ascending_voters = {0, 1, 3, 5}
     new_voters = []
     for idx, order in enumerate(witness.voters):
         ranked: list[int] = []
         for v in order:
-            chain = list(span(v))
-            ranked.extend(chain if idx in ascending_voters else reversed(chain))
+            ranked.extend(spans[v] if idx in ascending_voters else reversed(spans[v]))
         new_voters.append(tuple(ranked))
     new_witness = Profile(n, tuple(new_voters))
 
-    new_trace = []
-    for name, block in trace:
-        if name == "E1":
-            new_trace.append((name, _order_closure(new_voters[0])))
-            continue
-        lifted = [
-            (a2, b2)
-            for a, b in block.arcs()
-            for a2 in span(a)
-            for b2 in span(b)
-        ]
-        new_trace.append((name, Digraph.from_arcs(n, lifted)))
-    return new_graph, new_witness, tuple(new_trace)
+    # the backbone E1 comes first and is the first voter's closure again
+    new_trace = (("E1", _order_closure(new_voters[0])),)
+    new_trace += tuple((name, Digraph(n, tuple(lift(b)))) for name, b in trace[1:])
+    return new_graph, new_witness, new_trace
 
 
 # --- ranked pairs --------------------------------------------------------

@@ -217,8 +217,6 @@ def _solve_in_process(
 def _solve_in_child(f: CnfFormula, timeout: float | None) -> SolveResult:
     """Run the backend command on a temporary DIMACS file of ``f``."""
     cmd = backend_command()
-    if not shutil.which(cmd[0]) and not Path(cmd[0]).exists():
-        raise SolverError("SAT backend %r not found" % cmd[0])
     try:
         with tempfile.NamedTemporaryFile(
             "w", suffix=".cnf", prefix="majdim-", delete=False
@@ -234,6 +232,8 @@ def _solve_in_child(f: CnfFormula, timeout: float | None) -> SolveResult:
             )
         except subprocess.TimeoutExpired:
             return SolveResult("timeout")
+        except FileNotFoundError:
+            raise SolverError("SAT backend %r not found" % cmd[0]) from None
         except OSError as exc:
             raise SolverError("failed to launch SAT backend: %s" % exc)
         return _parse_output(proc.stdout, proc.returncode, proc.stderr, f.num_vars)

@@ -15,6 +15,7 @@ from majdim import (
     induces,
     majority_digraph,
 )
+from majdim.gadgets import GadgetOutput, _certified, _order_closure, two_voter_profile
 
 # A 5-vertex tournament known to be 3-inducible; INDUCING_PROFILE is a
 # hand-checked witness, used as an oracle for encoder round-trip tests.
@@ -182,3 +183,240 @@ def majority_of(voters) -> Digraph:
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+# --- reference gadget graphs ------------------------------------------------
+#
+# The Banks, TEQ and Slater compilers as they were when every graph was an
+# arc set handed to ``Digraph.from_arcs``.  ``majdim.gadgets`` builds the
+# same graphs as out-neighbour rows and must match these bit for bit:
+# graph, witness and block trace.
+
+
+def reference_chassis(f, spacing: int):
+    """Positions, vertex count, blocks and literal exception arcs."""
+    m = spacing * (len(f.clauses) - 1) + 1
+    n = m + 1
+    u_ids = [[]]
+    labels = {}
+    for i in range(1, m + 1):
+        ids = [n, n + 1, n + 2] if i % 2 == 1 else [n]
+        if (i - 1) % spacing == 0:
+            labels.update(zip(ids, f.clauses[(i - 1) // spacing]))
+        n += len(ids)
+        u_ids.append(ids)
+    by_literal = {}
+    for i in range(1, m + 1):
+        for vid in u_ids[i]:
+            lit = labels.get(vid)
+            if lit is not None:
+                by_literal.setdefault(lit, []).append((i, vid))
+    phi = set()
+    for lit, negatives in by_literal.items():
+        if lit >= 0:
+            continue
+        for bi, neg_id in negatives:
+            for bj, pos_id in by_literal.get(-lit, ()):
+                if bi > bj:
+                    phi.add((neg_id, pos_id))
+    return m, n, u_ids, phi
+
+
+def reference_chassis_arcs(m: int, u_ids, skip) -> set:
+    """Arcs between clause vertices and blocks, bar the reverses of ``skip``."""
+    arcs = set()
+    for j in range(m + 1):
+        for i in range(j):
+            arcs.add((j, i))
+    for i in range(1, m + 1):
+        for j in range(i + 1, m + 1):
+            for a in u_ids[i]:
+                for b in u_ids[j]:
+                    if (b, a) not in skip:
+                        arcs.add((a, b))
+    for i in range(m + 1):
+        for j in range(1, m + 1):
+            if i != j:
+                for b in u_ids[j]:
+                    arcs.add((i, b))
+    for i in range(1, m + 1):
+        for a in u_ids[i]:
+            arcs.add((a, i))
+    return arcs
+
+
+def reference_banks_tournament(f):
+    m, n, u_ids, phi = reference_chassis(f, 2)
+    arcs = reference_chassis_arcs(m, u_ids, phi) | phi
+    for i in range(1, m + 1):  # transitive triple inside each block
+        ids = u_ids[i]
+        for a in range(len(ids)):
+            for b in range(a + 1, len(ids)):
+                arcs.add((ids[a], ids[b]))
+    e1 = Digraph.from_arcs(n, [(a, i) for i in range(1, m + 1) for a in u_ids[i]])
+    completion = list(range(m, -1, -1))
+    for i in range(1, m + 1):
+        completion.extend(u_ids[i])
+    return _certified(
+        Digraph.from_arcs(n, arcs), 0, [e1, Digraph.from_arcs(n, phi)], completion
+    )
+
+
+def reference_teq_tournament(f):
+    m, n, u_ids, phi = reference_chassis(f, 4)
+    link = set()
+    for i in range(3, m + 1, 4):
+        for a in range(3):
+            for b in range(3):
+                if a != b:
+                    link.add((u_ids[i][a], u_ids[i - 2][b]))
+    skip = phi | link
+    arcs = reference_chassis_arcs(m, u_ids, skip) | skip
+    for i in range(1, m + 1):  # 3-cycle inside each triple
+        ids = u_ids[i]
+        if len(ids) == 3:
+            arcs.update([(ids[0], ids[1]), (ids[1], ids[2]), (ids[2], ids[0])])
+    e1_arcs = []
+    for i in range(m + 1):
+        for j in range(i):
+            e1_arcs.append((i, j))
+            e1_arcs.extend((i, b) for b in u_ids[j])
+    for i in range(1, m + 1):
+        ids = u_ids[i]
+        if len(ids) == 3:
+            e1_arcs.append((ids[2], ids[0]))
+    for i in range(3, m + 1, 4):
+        e1_arcs.append((u_ids[i][0], u_ids[i - 2][1]))
+        e1_arcs.append((u_ids[i][2], u_ids[i - 2][1]))
+    e1 = Digraph.from_arcs(n, e1_arcs)
+    e3 = Digraph.from_arcs(n, link - set(e1.arcs()))
+    completion = [0]
+    for i in range(1, m + 1):
+        completion.extend(u_ids[i])
+        completion.append(i)
+    return _certified(
+        Digraph.from_arcs(n, arcs),
+        0,
+        [e1, Digraph.from_arcs(n, phi), e3],
+        completion,
+    )
+
+
+def reference_slater_tournament(f, component_size: int = 1):
+    m = f.variables
+    num_clauses = len(f.clauses)
+    n = 6 * m + num_clauses
+
+    def t(i, j):
+        return 6 * (i - 1) + (j - 1)
+
+    def c(j):
+        return 6 * m + (j - 1)
+
+    arcs = set()
+    for i in range(1, m + 1):
+        arcs.update([(t(i, 1), t(i, 2)), (t(i, 2), t(i, 3)), (t(i, 3), t(i, 1))])
+        for upper in (4, 5, 6):
+            for lower in range(1, upper):
+                arcs.add((t(i, lower), t(i, upper)))
+    for i1 in range(1, m + 1):
+        for i2 in range(i1 + 1, m + 1):
+            for a in range(1, 7):
+                for b in range(1, 7):
+                    arcs.add((t(i1, a), t(i2, b)))
+    for j1 in range(1, num_clauses + 1):
+        for j2 in range(j1 + 1, num_clauses + 1):
+            arcs.add((c(j1), c(j2)))
+    for i in range(1, m + 1):
+        for j in range(1, num_clauses + 1):
+            arcs.add((t(i, 6), c(j)))
+            arcs.add((c(j), t(i, 1)))
+    for j, clause in enumerate(f.clauses, start=1):
+        polarity = {abs(lit): lit > 0 for lit in clause}
+        for i in range(1, m + 1):
+            if polarity.get(i) is True:
+                arcs.update(
+                    [(t(i, 2), c(j)), (c(j), t(i, 3)), (c(j), t(i, 4)), (t(i, 5), c(j))]
+                )
+            elif polarity.get(i) is False:
+                arcs.update(
+                    [(c(j), t(i, 2)), (t(i, 3), c(j)), (t(i, 4), c(j)), (c(j), t(i, 5))]
+                )
+            else:
+                arcs.update(
+                    [(c(j), t(i, 2)), (c(j), t(i, 3)), (t(i, 4), c(j)), (t(i, 5), c(j))]
+                )
+    graph = Digraph.from_arcs(n, arcs)
+
+    backbone = [t(i, j) for i in range(1, m + 1) for j in range(1, 7)]
+    backbone += [c(j) for j in range(1, num_clauses + 1)]
+    e2 = Digraph.from_arcs(
+        n,
+        [
+            (c(j), t(i, a))
+            for j in range(1, num_clauses + 1)
+            for i in range(1, m + 1)
+            for a in (1, 2, 3)
+        ],
+    )
+    e3_arcs = {(t(i, 3), t(i, 1)) for i in range(1, m + 1)}
+    e4_arcs = set()
+    for j, clause in enumerate(f.clauses, start=1):
+        for lit in clause:
+            i = abs(lit)
+            if len(clause) == 2:
+                e3_arcs.add((t(i, 2), c(j)) if lit > 0 else (t(i, 3), c(j)))
+                e4_arcs.add((c(j), t(i, 4)) if lit > 0 else (c(j), t(i, 5)))
+            else:
+                e3_arcs.add((c(j), t(i, 4)) if lit > 0 else (c(j), t(i, 5)))
+                e4_arcs.add((t(i, 2), c(j)) if lit > 0 else (t(i, 3), c(j)))
+    e3 = Digraph.from_arcs(n, e3_arcs)
+    e4 = Digraph.from_arcs(n, e4_arcs)
+
+    voters = (tuple(backbone),)
+    for block in (e2, e3, e4):
+        voters += two_voter_profile(block).voters
+    witness = Profile(n, voters)
+    trace = (("E1", _order_closure(backbone)), ("E2", e2), ("E3", e3), ("E4", e4))
+    if component_size > 1:
+        graph, witness, trace = reference_replicate(
+            graph, witness, trace, 6 * m, component_size
+        )
+    return GadgetOutput(
+        graph=graph, decision_vertex=None, witness=witness, block_trace=trace
+    )
+
+
+def reference_replicate(graph, witness, trace, head: int, copies: int):
+    """Blow the first ``head`` vertices up into transitive chains, arc by arc."""
+    n = head * copies + graph.n - head
+
+    def span(v):
+        if v < head:
+            return range(v * copies, (v + 1) * copies)
+        base = head * copies + (v - head)
+        return range(base, base + 1)
+
+    def lifted(g):
+        return [(a2, b2) for a, b in g.arcs() for a2 in span(a) for b2 in span(b)]
+
+    arcs = lifted(graph)
+    for v in range(head):
+        chain = list(span(v))
+        arcs.extend(
+            (chain[i], chain[j]) for i in range(copies) for j in range(i + 1, copies)
+        )
+    new_voters = []
+    for idx, order in enumerate(witness.voters):
+        ranked = []
+        for v in order:
+            chain = list(span(v))
+            ranked.extend(chain if idx in (0, 1, 3, 5) else reversed(chain))
+        new_voters.append(tuple(ranked))
+    new_trace = tuple(
+        (name, _order_closure(new_voters[0]))
+        if name == "E1"
+        else (name, Digraph.from_arcs(n, lifted(block)))
+        for name, block in trace
+    )
+    return Digraph.from_arcs(n, arcs), Profile(n, tuple(new_voters)), new_trace

@@ -701,3 +701,32 @@ def test_digraph_text_rejects_repeated_arc():
 def test_weighted_text_rejects_repeated_arc():
     with pytest.raises(ValueError, match=r"arc \(0, 1\) listed twice"):
         weighted_from_text("2 2\n0 1 3\n0 1 2\n")
+
+
+# every public constructor rejects a vertex id outside 0..n-1 by name, as
+# the text readers do
+OUT_OF_RANGE = [(-1, 0), (0, -1), (3, 0), (0, 5)]
+
+
+def _raises_outside(arc):
+    return pytest.raises(
+        ValueError, match=r"arc \(%d, %d\) names a vertex outside 0\.\.2" % arc
+    )
+
+
+@pytest.mark.parametrize("arc", OUT_OF_RANGE)
+def test_from_arcs_rejects_out_of_range_vertices(arc):
+    with _raises_outside(arc):
+        Digraph.from_arcs(3, [(0, 1), arc])
+
+
+@pytest.mark.parametrize("arc", OUT_OF_RANGE)
+def test_from_edges_rejects_out_of_range_vertices(arc):
+    with _raises_outside(arc):
+        UndirectedGraph.from_edges(3, [(0, 1), arc])
+
+
+@pytest.mark.parametrize("arc", OUT_OF_RANGE)
+def test_from_pairs_rejects_out_of_range_vertices(arc):
+    with _raises_outside(arc):
+        WeightedDigraph.from_pairs(3, {(0, 1): 1, arc: 2})

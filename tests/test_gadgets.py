@@ -37,7 +37,13 @@ from majdim import (
 )
 from majdim.profiles import weighted_majority
 
-from conftest import orientation_compatible, random_digraph
+from conftest import (
+    orientation_compatible,
+    random_digraph,
+    reference_banks_tournament,
+    reference_slater_tournament,
+    reference_teq_tournament,
+)
 
 BATTERY = 30  # formulas per builder here; the acceptance suite runs 100+
 
@@ -431,3 +437,57 @@ def golden_digests() -> dict:
 
 def test_golden_outputs():
     assert golden_digests() == GOLDEN
+
+
+# ---------------------------------------------------------------------------
+# row-built graphs against the arc-set reference
+#
+# GOLDEN pins small formulas and component size 2 only; these compare the
+# compilers with the arc-set constructions in conftest on formulas of up
+# to 20 clauses and on every component size from 1 to 4.
+
+
+def ordered_formula_of(rng, variables: int, clauses: int) -> ThreeCnf:
+    """Random ordered formula: each variable turns negative after a random
+    number of its occurrences."""
+    picks = [rng.sample(range(1, variables + 1), 3) for _ in range(clauses)]
+    total = {v: sum(c.count(v) for c in picks) for v in range(1, variables + 1)}
+    positives = {v: rng.randrange(k + 1) for v, k in total.items()}
+    seen = dict.fromkeys(total, 0)
+    out = []
+    for clause in picks:
+        lits = []
+        for v in clause:
+            lits.append(v if seen[v] < positives[v] else -v)
+            seen[v] += 1
+        out.append(tuple(lits))
+    return ThreeCnf.of(variables, out)
+
+
+@pytest.mark.parametrize("clauses", [1, 2, 3, 5, 8, 13, 20])
+def test_banks_and_teq_match_arc_set_reference(clauses):
+    rng = random.Random(clauses)
+    for _ in range(2):
+        f = ordered_formula_of(rng, rng.randrange(3, 3 + clauses), clauses)
+        assert f.is_ordered and len(f.clauses) == clauses
+        assert _output_key(banks_tournament(f)) == _output_key(
+            reference_banks_tournament(f)
+        )
+        assert _output_key(teq_tournament(f)) == _output_key(
+            reference_teq_tournament(f)
+        )
+
+
+@pytest.mark.parametrize("component_size", [1, 2, 3, 4])
+def test_slater_matches_arc_set_reference(component_size):
+    rng = random.Random(component_size)
+    sizes = []
+    while len(sizes) < 5:
+        f = to_reducedfew(random_three_cnf(rng, rng.randrange(3, 7), len(sizes) + 1))
+        if not f.clauses or len(f.clauses) > 20:
+            continue
+        sizes.append(len(f.clauses))
+        assert _output_key(slater_tournament(f, component_size)) == _output_key(
+            reference_slater_tournament(f, component_size)
+        )
+    assert max(sizes) >= 18
