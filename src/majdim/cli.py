@@ -1,11 +1,12 @@
 """Command-line surface.
 
-Subcommands: dim, check, census, bounds, sample, gadget, transform,
-verify.  Machine-readable results go to stdout as JSON (or to --out
-files); exit codes are 0 for success or YES, 1 for a domain NO/UNSAT on
-decision subcommands, 2 for usage errors, and 3 for infrastructure
-failures such as a missing solver backend or a timeout.  The SAT backend
-can be overridden through the MAJDIM_SAT_SOLVER environment variable.
+Subcommands: dim, check, census, bounds, sample, sweep, gadget,
+transform, verify.  Machine-readable results go to stdout as JSON (or to
+--out files), the census and sweep tables as CSV; exit codes are 0 for
+success or YES, 1 for a domain NO/UNSAT on decision subcommands, 2 for
+usage errors, and 3 for infrastructure failures such as a missing solver
+backend or a timeout.  The SAT backend can be overridden through the
+MAJDIM_SAT_SOLVER environment variable.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import json
 import os
 import stat
 import sys
+import time
+from dataclasses import replace
 from pathlib import Path
 
 from .bounds import expressiveness_upper_bound
@@ -202,6 +205,29 @@ def _cmd_sample(args) -> int:
     return EXIT_OK
 
 
+def _cmd_sweep(args) -> int:
+    # every cell's parameters are checked before the first draw
+    cells = [CultureSpec(model, n, args.voters, args.phi, args.dims)
+             for model in args.models for n in args.n]
+    print("model,n,samples,mean_dim,min_dim,max_dim,seconds")
+    for cell in cells:
+        t0 = time.perf_counter()
+        dims = []
+        for seed in range(args.seed0, args.seed0 + args.samples):
+            drawn = sample(replace(cell, seed=seed))
+            g = drawn if isinstance(drawn, Digraph) else majority_digraph(drawn)
+            dims.append(dimension(g).dim)
+        elapsed = time.perf_counter() - t0
+        found = [d for d in dims if d is not None]
+        if len(found) < len(dims):
+            print("%s n=%d: %d samples exceeded the k<=9 search bound"
+                  % (cell.model, cell.n, len(dims) - len(found)), file=sys.stderr)
+        if found:
+            print("%s,%d,%d,%.2f,%d,%d,%.1f" % (cell.model, cell.n, len(found),
+                  sum(found) / len(found), min(found), max(found), elapsed))
+    return EXIT_OK
+
+
 _GADGET_RULES = {
     "banks": banks_tournament,
     "teq": teq_tournament,
@@ -350,15 +376,29 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out", default=None)
     b.set_defaults(func=_cmd_bounds)
 
-    s = sub.add_parser("sample", help="draw from a stochastic culture")
+    # --voters, --phi and --dims of sample and sweep default as in CultureSpec
+    culture = argparse.ArgumentParser(add_help=False)
+    culture.add_argument("--voters", type=int, default=CultureSpec.voters)
+    culture.add_argument("--phi", type=float, default=CultureSpec.phi)
+    culture.add_argument("--dims", type=int, default=CultureSpec.dims)
+
+    s = sub.add_parser(
+        "sample", parents=[culture], help="draw from a stochastic culture"
+    )
     s.add_argument("--model", required=True, choices=MODELS + ("qr",))
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--voters", type=int, default=51)
-    s.add_argument("--phi", type=float, default=1.0)
-    s.add_argument("--dims", type=int, default=2)
     s.add_argument("--seed", type=int, required=True)
     s.add_argument("--out", default=None)
     s.set_defaults(func=_cmd_sample)
+
+    w = sub.add_parser("sweep", parents=[culture], help="mean dimension of draws")
+    w.add_argument("--models", nargs="+", choices=MODELS,
+                   default=["uniform_tournament"])
+    w.add_argument("--n", nargs="+", type=int, default=[5, 9, 13, 17, 21])
+    w.add_argument("--samples", type=int, default=30, help="seeded draws per cell")
+    w.add_argument("--seed0", type=int, default=0,
+                   help="first seed; draws use seed0..seed0+samples-1")
+    w.set_defaults(func=_cmd_sweep)
 
     g = sub.add_parser("gadget", help="compile a formula into a hardness tournament")
     g.add_argument(

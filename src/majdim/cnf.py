@@ -18,6 +18,8 @@ class CnfFormula:
     clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.num_vars < 0:
+            raise ValueError("negative variable count %d" % self.num_vars)
         # Tautological clauses are tolerated: the faithful encoding mode
         # instantiates its quantifiers over full ranges, and the degenerate
         # instances are part of its advertised clause count.
@@ -47,8 +49,7 @@ def to_dimacs(f: CnfFormula) -> str:
 
 
 def from_dimacs(text: str) -> CnfFormula:
-    num_vars = None
-    declared = None
+    header = None
     clauses: list[tuple[int, ...]] = []
     pending: list[int] = []
     for raw in text.splitlines():
@@ -59,8 +60,12 @@ def from_dimacs(text: str) -> CnfFormula:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError("malformed problem line: %r" % line)
-            num_vars, declared = int(parts[2]), int(parts[3])
+            if header is not None:
+                raise ValueError("second problem line: %r" % line)
+            header = int(parts[2]), int(parts[3])
             continue
+        if header is None:
+            raise ValueError("clause before the 'p cnf' header")
         for tok in line.split():
             lit = int(tok)
             if lit == 0:
@@ -68,11 +73,12 @@ def from_dimacs(text: str) -> CnfFormula:
                 pending = []
             else:
                 pending.append(lit)
-    if num_vars is None:
+    if header is None:
         raise ValueError("missing 'p cnf' header")
     if pending:
         raise ValueError("unterminated clause at end of file")
-    if declared is not None and declared != len(clauses):
+    num_vars, declared = header
+    if declared != len(clauses):
         raise ValueError(
             "header declares %d clauses, found %d" % (declared, len(clauses))
         )

@@ -399,7 +399,13 @@ def _component_closure(t: Digraph, seed: int) -> int:
 
 
 def decompose(t: Digraph) -> Decomposition:
-    """Partition ``t`` into maximal proper components (singletons if prime)."""
+    """Partition ``t`` into maximal proper components (singletons if prime).
+
+    The summary is the sub-tournament on the first vertex of each block.
+    That is exact because two disjoint components A and B are joined one
+    way: say a0 -> b0.  Then b0 lies outside A, so every a in A beats b0,
+    and each such a lies outside B, so it beats all of B.
+    """
     if not t.is_tournament():
         raise ValueError("decompose expects a tournament")
     n = t.n
@@ -422,22 +428,7 @@ def decompose(t: Digraph) -> Decomposition:
     components = tuple(
         sorted((tuple(_bits(b)) for b in blocks), key=lambda blk: blk[0])
     )
-    # summary arcs read off any cross pair; validate uniformity as we go
-    p = len(components)
-    rows = [0] * p
-    for q in range(p):
-        for r in range(q + 1, p):
-            mask_r = 0
-            for v in components[r]:
-                mask_r |= 1 << v
-            wins = [(t.rows[u] & mask_r).bit_count() for u in components[q]]
-            if all(w == len(components[r]) for w in wins):
-                rows[q] |= 1 << r
-            elif all(w == 0 for w in wins):
-                rows[r] |= 1 << q
-            else:
-                raise AssertionError("non-uniform pair of blocks")
-    return Decomposition(components, Digraph(p, tuple(rows)))
+    return Decomposition(components, t.induced([blk[0] for blk in components]))
 
 
 CANONICAL_CAP = 10
@@ -590,11 +581,15 @@ def digraph_from_text(text: str) -> Digraph:
     arcs = tokens[1:]
     if len(arcs) != m:
         raise ValueError("expected %d arc lines, got %d" % (m, len(arcs)))
-    seen = set()
+    # the first faulty arc line is reported
+    rows = [0] * n
     for u, v in arcs:
-        _require_new_arc(n, u, v, seen)
-        seen.add((u, v))
-    return Digraph.from_arcs(n, arcs)
+        if not (0 <= u < n and 0 <= v < n):
+            raise _outside(n, u, v)
+        if rows[u] >> v & 1:
+            raise ValueError("arc (%d, %d) listed twice" % (u, v))
+        rows[u] |= 1 << v
+    return Digraph(n, tuple(rows))
 
 
 def weighted_to_text(g: WeightedDigraph) -> str:

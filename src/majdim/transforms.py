@@ -27,6 +27,8 @@ class ThreeCnf:
     clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.variables < 0:
+            raise ValueError("negative variable count %d" % self.variables)
         for clause in self.clauses:
             if not 1 <= len(clause) <= 3:
                 raise ValueError("clauses must have 1..3 literals")

@@ -4,6 +4,7 @@
 """
 
 import ast
+import dataclasses
 import json
 import os
 import shlex
@@ -28,6 +29,7 @@ from majdim import (
     sample,
     serialize_preflib_orders,
 )
+from majdim.cli import _build_parser
 from majdim.digraph import digraph_to_text
 from majdim.profiles import profile_from_text
 from majdim.solver import bundled_solver_path
@@ -389,6 +391,38 @@ def test_sample_is_reproducible(tmp_path, capsys):
     assert a.read_text() == b.read_text()
 
 
+def test_sweep_prints_one_row_per_cell(capsys):
+    argv = ["sweep", "--models", "uniform_tournament", "ic", "--n", "5", "7",
+            "--samples", "3"]
+    assert cli_dispatch(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "model,n,samples,mean_dim,min_dim,max_dim,seconds"
+    rows = [line.split(",") for line in lines[1:]]
+    cells = [(model, int(n)) for model, n, *_ in rows]
+    assert cells == [("uniform_tournament", 5), ("uniform_tournament", 7),
+                     ("ic", 5), ("ic", 7)]
+    for _, _, samples, mean, low, high, _ in rows:
+        assert int(samples) == 3
+        assert int(low) % 2 == 1 and int(high) % 2 == 1
+        assert int(low) <= float(mean) <= int(high)
+
+
+def test_sweep_rejects_an_even_electorate(capsys):
+    code = cli_dispatch(["sweep", "--models", "ic", "--n", "5", "--voters", "4"])
+    assert code == 2
+    assert "error: voters must be odd" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["sample", "--model", "ic", "--n", "5", "--seed", "0"], ["sweep"]]
+)
+def test_culture_defaults_are_those_of_culture_spec(argv):
+    args = _build_parser().parse_args(argv)
+    defaults = {f.name: f.default for f in dataclasses.fields(CultureSpec)}
+    for name in ("voters", "phi", "dims"):
+        assert getattr(args, name) == defaults[name]
+
+
 def test_gadget_artifacts_verify(cnf_file, tmp_path, capsys):
     graph = tmp_path / "g.dg"
     prof = tmp_path / "g.prof"
@@ -481,6 +515,16 @@ def test_transform_emits_dimacs(cnf_file, tmp_path, capsys):
     assert out.read_text().startswith("p cnf")
     meta = json.loads(capsys.readouterr().out)
     assert meta["target"] == "reducedfew" and meta["reduced_few"] is True
+
+
+def test_transform_rejects_a_negative_variable_count(tmp_path, capsys):
+    cnf = tmp_path / "neg.cnf"
+    cnf.write_text("p cnf -3 0\n")
+    code = cli_dispatch(["transform", "--to", "ordered3", "--cnf", str(cnf)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: negative variable count -3" in captured.err
 
 
 def test_check_exit_codes_agree_with_library(tmp_path, capsys):

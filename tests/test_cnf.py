@@ -42,6 +42,25 @@ def test_list_clauses_write_as_tuples():
     assert to_dimacs(f) == reference_to_dimacs(f) == "p cnf 3 2\n1 0\n-2 3 0\n"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p cnf -3 0\n", "negative variable count -3"),
+        ("p cnf 2 1\np cnf 5 1\n1 -2 0\n", "second problem line"),
+        ("1 -2 0\np cnf 2 1\n", "clause before the 'p cnf' header"),
+    ],
+    ids=["negative-variables", "second-header", "clause-before-header"],
+)
+def test_reader_rejects_malformed_headers(text, message):
+    with pytest.raises(ValueError, match=message):
+        from_dimacs(text)
+
+
+def test_formula_rejects_a_negative_variable_count():
+    with pytest.raises(ValueError, match="negative variable count"):
+        CnfFormula(-1, ())
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_encoder_formulas_match_reference(mode):
     rng = random.Random(5)

@@ -2,7 +2,6 @@
 
 import random
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -157,24 +156,3 @@ def test_qr_rejects_bad_moduli():
         qr_tournament(9)  # composite
     with pytest.raises(ValueError):
         qr_tournament(2)
-
-
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-
-
-def test_run_stochastic_prints_one_row_per_cell(monkeypatch, capsys):
-    monkeypatch.syspath_prepend(str(SCRIPTS))
-    import run_stochastic
-
-    argv = ["--models", "uniform_tournament", "ic", "--n", "5", "7", "--samples", "3"]
-    assert run_stochastic.main(argv) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "model,n,samples,mean_dim,min_dim,max_dim,seconds"
-    rows = [line.split(",") for line in lines[1:]]
-    cells = [(model, int(n)) for model, n, *_ in rows]
-    assert cells == [("uniform_tournament", 5), ("uniform_tournament", 7),
-                     ("ic", 5), ("ic", 7)]
-    for _, _, samples, mean, low, high, _ in rows:
-        assert int(samples) == 3
-        assert int(low) % 2 == 1 and int(high) % 2 == 1
-        assert int(low) <= float(mean) <= int(high)

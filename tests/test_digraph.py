@@ -618,9 +618,37 @@ def test_decompose_recovers_planted_components(rng):
     assert blocks == [(0, 1, 2), (3, 4), (5,)]
 
 
+def _planted_composite(rng) -> Digraph:
+    """Random pieces substituted into a random summary, on shuffled ids."""
+    sizes = [rng.randrange(1, 5) for _ in range(rng.randrange(2, 5))]
+    while sum(sizes) > 12:
+        sizes.pop()
+    ids = list(range(sum(sizes)))
+    rng.shuffle(ids)
+    blocks = []
+    for size in sizes:
+        blocks.append(ids[:size])
+        ids = ids[size:]
+    summary = random_tournament(len(blocks), rng)
+    arcs = []
+    for i, block in enumerate(blocks):
+        piece = random_tournament(len(block), rng)
+        arcs += [(block[a], block[b]) for a, b in piece.arcs()]
+        for j, other in enumerate(blocks):
+            if summary.has_arc(i, j):
+                arcs += [(u, v) for u in block for v in other]
+    return Digraph.from_arcs(sum(sizes), arcs)
+
+
+def _decompose_cases(rng):
+    for n in range(1, 6):
+        yield from _all_tournaments(n)
+    for _ in range(300):
+        yield _planted_composite(rng)
+
+
 def test_decompose_blocks_are_uniform_outside(rng):
-    for _ in range(25):
-        t = random_tournament(7, rng)
+    for t in _decompose_cases(rng):
         dec = decompose(t)
         for block in dec.components:
             members = set(block)
@@ -633,13 +661,14 @@ def test_decompose_blocks_are_uniform_outside(rng):
 
 
 def test_decompose_summary_matches_block_arcs(rng):
-    for _ in range(25):
-        t = random_tournament(6, rng)
+    for t in _decompose_cases(rng):
         dec = decompose(t)
         for i, bi in enumerate(dec.components):
             for j, bj in enumerate(dec.components):
                 if i != j:
-                    assert dec.summary.has_arc(i, j) == t.has_arc(bi[0], bj[0])
+                    for u in bi:
+                        for v in bj:
+                            assert dec.summary.has_arc(i, j) == t.has_arc(u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -696,6 +725,19 @@ def test_weighted_text_rejects_out_of_range_ids(arc):
 def test_digraph_text_rejects_repeated_arc():
     with pytest.raises(ValueError, match=r"arc \(0, 1\) listed twice"):
         digraph_from_text("2 2\n0 1\n0 1\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3 3\n0 1\n0 1\n0 5\n", r"arc \(0, 1\) listed twice"),
+        ("3 3\n0 5\n0 1\n0 1\n", r"arc \(0, 5\) names a vertex outside"),
+    ],
+)
+def test_digraph_text_reports_the_first_faulty_line(text, message):
+    # a repeated arc and an out-of-range id, in either order
+    with pytest.raises(ValueError, match=message):
+        digraph_from_text(text)
 
 
 def test_weighted_text_rejects_repeated_arc():

@@ -16,6 +16,8 @@ def test_three_cnf_validation():
         ThreeCnf.of(3, [(1, -1, 2)])  # complementary pair
     with pytest.raises(ValueError):
         ThreeCnf.of(3, [(0, 1, 2)])  # zero literal
+    with pytest.raises(ValueError, match="negative variable count"):
+        ThreeCnf.of(-1, [])
     ThreeCnf.of(3, [(1, -2, 3), (-1, 2)])  # widths 2 and 3 are fine
 
 
