@@ -28,10 +28,8 @@ from .cultures import MODELS, CultureSpec, qr_tournament, sample
 from .digraph import (
     Digraph,
     WeightedDigraph,
-    _header_and_rows,
-    digraph_from_text,
     digraph_to_text,
-    weighted_from_text,
+    graph_from_text,
     weighted_to_text,
 )
 from .dimension import SolverTimeout, check_k_majority, dimension
@@ -45,7 +43,7 @@ from .gadgets import (
     slater_tournament,
     teq_tournament,
 )
-from .preflib import parse_preflib
+from .preflib import parse_preflib_orders, parse_preflib_wmg
 from .profiles import induces, majority_digraph, profile_from_text, profile_to_text
 from .solver import SolverError
 from .transforms import ThreeCnf, to_ordered3, to_reducedfew
@@ -60,6 +58,13 @@ class UsageError(ValueError):
     """Bad arguments or unreadable/invalid input data."""
 
 
+def _read_input(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text()
+    except FileNotFoundError:
+        raise UsageError("%s file not found: %s" % (what, path))
+
+
 def _load_graph(path: str) -> Digraph | WeightedDigraph:
     """Read a digraph file, dispatching on arc-line shape.
 
@@ -67,19 +72,13 @@ def _load_graph(path: str) -> Digraph | WeightedDigraph:
     file yields the majority digraph of its profile, a .wmg file its
     weighted margins.
     """
-    p = Path(path)
-    if not p.exists():
-        raise UsageError("graph file not found: %s" % path)
-    if p.suffix in (".soc", ".soi", ".toc", ".toi", ".wmg"):
-        parsed = parse_preflib(p)
-        if isinstance(parsed, WeightedDigraph):
-            return parsed
-        return majority_digraph(parsed)
-    text = p.read_text()
-    rows = _header_and_rows(text, None)
-    if len(rows) > 1 and len(rows[1]) == 3:
-        return weighted_from_text(text)
-    return digraph_from_text(text)
+    text = _read_input(path, "graph")
+    suffix = Path(path).suffix
+    if suffix == ".wmg":
+        return parse_preflib_wmg(text)
+    if suffix in (".soc", ".soi", ".toc", ".toi"):
+        return majority_digraph(parse_preflib_orders(text))
+    return graph_from_text(text)
 
 
 def _require_unweighted(g: Digraph | WeightedDigraph, what: str) -> Digraph:
@@ -114,10 +113,7 @@ def _emit(payload: dict, out: str | None):
 
 
 def _three_cnf_from_dimacs(path: str) -> ThreeCnf:
-    p = Path(path)
-    if not p.exists():
-        raise UsageError("formula file not found: %s" % path)
-    f = from_dimacs(p.read_text())
+    f = from_dimacs(_read_input(path, "formula"))
     try:
         return ThreeCnf.of(f.num_vars, [tuple(c) for c in f.clauses])
     except ValueError as exc:
@@ -307,10 +303,7 @@ def _cmd_transform(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = _load_graph(args.graph)
-    p = Path(args.profile)
-    if not p.exists():
-        raise UsageError("profile file not found: %s" % args.profile)
-    profile = profile_from_text(p.read_text())
+    profile = profile_from_text(_read_input(args.profile, "profile"))
     ok = induces(profile, g)
     _emit({"induces": ok}, args.out)
     return EXIT_OK if ok else EXIT_NO
@@ -395,7 +388,8 @@ def _build_parser() -> argparse.ArgumentParser:
     w.add_argument("--models", nargs="+", choices=MODELS,
                    default=["uniform_tournament"])
     w.add_argument("--n", nargs="+", type=int, default=[5, 9, 13, 17, 21])
-    w.add_argument("--samples", type=int, default=30, help="seeded draws per cell")
+    w.add_argument("--samples", type=_at_least_one("samples"), default=30,
+                   help="seeded draws per cell")
     w.add_argument("--seed0", type=int, default=0,
                    help="first seed; draws use seed0..seed0+samples-1")
     w.set_defaults(func=_cmd_sweep)

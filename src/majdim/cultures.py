@@ -22,7 +22,11 @@ MODELS = ("uniform_tournament", "ic", "iac", "mallows", "spatial")
 
 @dataclass(frozen=True)
 class CultureSpec:
-    """Parameters of one sampling run."""
+    """Parameters of one sampling run.
+
+    Every field is range-checked for every model, also those the model
+    does not read (``phi`` outside mallows, ``dims`` outside spatial).
+    """
 
     model: str
     n: int
@@ -41,9 +45,9 @@ class CultureSpec:
             raise ValueError("n must be positive")
         if self.voters < 1 or self.voters % 2 == 0:
             raise ValueError("voters must be odd and positive")
-        if self.model == "mallows" and not 0.0 < self.phi <= 1.0:
+        if not 0.0 < self.phi <= 1.0:
             raise ValueError("phi must lie in (0, 1]")
-        if self.model == "spatial" and self.dims < 1:
+        if self.dims < 1:
             raise ValueError("dims must be at least 1")
 
     def metadata(self) -> dict:

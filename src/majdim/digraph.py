@@ -567,6 +567,31 @@ class WeightedDigraph:
 #
 # Digraph:          line 1 "n m", then m lines "u v" (0-based ids).
 # WeightedDigraph:  line 1 "n m", then m lines "u v w", positive w only.
+# Profile (in profiles.py) reads its "n k" format through read_rows too.
+
+
+def read_rows(text: str, header: str) -> tuple[int, list[tuple[int, ...]]]:
+    """Header value n and body rows of a line format such as ``'n m'``.
+
+    Blank lines and lines starting with '#' are skipped.  The first line
+    left is the header: two non-negative integers, the second of which
+    is the number of body lines.  Every line is read as integers.
+    """
+    rows = [
+        tuple(map(int, line.split()))
+        for line in map(str.strip, text.splitlines())
+        if line and not line.startswith("#")
+    ]
+    if not rows or len(rows[0]) != 2 or min(rows[0]) < 0:
+        raise ValueError(
+            "first line must be the %r header: two non-negative integers" % header
+        )
+    (n, count), body = rows[0], rows[1:]
+    if len(body) != count:
+        raise ValueError(
+            "expected %d lines after the %r header, got %d" % (count, header, len(body))
+        )
+    return n, body
 
 
 def digraph_to_text(g: Digraph) -> str:
@@ -576,20 +601,7 @@ def digraph_to_text(g: Digraph) -> str:
 
 
 def digraph_from_text(text: str) -> Digraph:
-    tokens = _header_and_rows(text, 2)
-    n, m = tokens[0]
-    arcs = tokens[1:]
-    if len(arcs) != m:
-        raise ValueError("expected %d arc lines, got %d" % (m, len(arcs)))
-    # the first faulty arc line is reported
-    rows = [0] * n
-    for u, v in arcs:
-        if not (0 <= u < n and 0 <= v < n):
-            raise _outside(n, u, v)
-        if rows[u] >> v & 1:
-            raise ValueError("arc (%d, %d) listed twice" % (u, v))
-        rows[u] |= 1 << v
-    return Digraph(n, tuple(rows))
+    return _from_arc_lines(*read_rows(text, "n m"), weighted=False)
 
 
 def weighted_to_text(g: WeightedDigraph) -> str:
@@ -600,44 +612,35 @@ def weighted_to_text(g: WeightedDigraph) -> str:
 
 
 def weighted_from_text(text: str) -> WeightedDigraph:
-    rows = _header_and_rows(text, None)
-    n, m = rows[0][0], rows[0][1]
-    pairs = {}
-    for row in rows[1:]:
-        if len(row) != 3:
-            raise ValueError("weighted arc lines need 'u v w'")
-        u, v, w = row
-        _require_new_arc(n, u, v, pairs)
-        if w <= 0:
+    return _from_arc_lines(*read_rows(text, "n m"), weighted=True)
+
+
+def graph_from_text(text: str) -> Digraph | WeightedDigraph:
+    """A weighted digraph if the first arc line is 'u v w', else a digraph."""
+    n, body = read_rows(text, "n m")
+    return _from_arc_lines(n, body, weighted=bool(body) and len(body[0]) == 3)
+
+
+def _from_arc_lines(n: int, body, weighted: bool) -> Digraph | WeightedDigraph:
+    """The first faulty arc line is reported; on one line a wrong field
+    count, then an id outside 0..n-1, then a repeat, then a weight <= 0."""
+    width = 3 if weighted else 2
+    rows = [0] * n
+    for line in body:
+        if len(line) != width:
+            raise ValueError("expected %d fields per line" % width)
+        u, v = line[0], line[1]
+        if not (0 <= u < n and 0 <= v < n):
+            raise _outside(n, u, v)
+        if rows[u] >> v & 1:
+            raise ValueError("arc (%d, %d) listed twice" % (u, v))
+        if weighted and line[2] <= 0:
             raise ValueError("only positive weights may be listed")
-        pairs[(u, v)] = w
-    if len(pairs) != m:
-        raise ValueError("expected %d arc lines, got %d" % (m, len(pairs)))
-    return WeightedDigraph.from_pairs(n, pairs)
+        rows[u] |= 1 << v
+    if weighted:
+        return WeightedDigraph.from_pairs(n, {(u, v): w for u, v, w in body})
+    return Digraph(n, tuple(rows))
 
 
 def _outside(n: int, u: int, v: int) -> ValueError:
     return ValueError("arc (%d, %d) names a vertex outside 0..%d" % (u, v, n - 1))
-
-
-def _require_new_arc(n: int, u: int, v: int, seen) -> None:
-    if not (0 <= u < n and 0 <= v < n):
-        raise _outside(n, u, v)
-    if (u, v) in seen:
-        raise ValueError("arc (%d, %d) listed twice" % (u, v))
-
-
-def _header_and_rows(text: str, width: int | None):
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [int(tok) for tok in line.split()]
-        if rows and width is not None and len(parts) != width:
-            raise ValueError("expected %d fields per line" % width)
-        rows.append(tuple(parts))
-    if not rows or len(rows[0]) != 2:
-        raise ValueError("missing 'n m' header line")
-    return rows
-

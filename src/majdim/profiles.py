@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import Digraph, WeightedDigraph
+from .digraph import Digraph, WeightedDigraph, read_rows
 
 # ranking as a tuple of vertex ids, best first
 LinearOrder = tuple[int, ...]
@@ -121,7 +121,8 @@ def mcgarvey_profile(g: Digraph) -> Profile:
 
 # --- text format ----------------------------------------------------------
 #
-# line 1 "n k", then k lines of space-separated vertex ids, best first.
+# line 1 "n k", then k lines of space-separated vertex ids, best first;
+# comments and blank lines as in the digraph formats (read_rows).
 
 
 def profile_to_text(p: Profile) -> str:
@@ -131,15 +132,5 @@ def profile_to_text(p: Profile) -> str:
 
 
 def profile_from_text(text: str) -> Profile:
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append([int(tok) for tok in line.split()])
-    if not rows or len(rows[0]) != 2:
-        raise ValueError("missing 'n k' header line")
-    n, k = rows[0]
-    if len(rows) - 1 != k:
-        raise ValueError("expected %d ranking lines, got %d" % (k, len(rows) - 1))
-    return Profile(n, tuple(tuple(r) for r in rows[1:]))
+    n, rankings = read_rows(text, "n k")
+    return Profile(n, tuple(rankings))

@@ -162,6 +162,23 @@ def test_repeated_arc_line_is_a_usage_error(tmp_path, capsys):
     assert "arc (0, 1) listed twice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["-1 0\n", "2 -1\n", "2\n", "3 2\n0 1\n"])
+def test_dim_rejects_a_faulty_header(text, tmp_path, capsys):
+    path = tmp_path / "g.dg"
+    path.write_text(text)
+    assert cli_dispatch(["dim", "--graph", str(path)]) == 2
+    assert "'n m' header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["-1 0\n", "5 -1\n", "5\n", "5 2\n0 1 2 3 4\n"])
+def test_verify_rejects_a_faulty_profile_header(text, t5_file, tmp_path, capsys):
+    prof = tmp_path / "p.prof"
+    prof.write_text(text)
+    code = cli_dispatch(["verify", "--graph", str(t5_file), "--profile", str(prof)])
+    assert code == 2
+    assert "'n k' header" in capsys.readouterr().err
+
+
 def test_indented_comment_does_not_make_a_file_weighted(tmp_path, capsys):
     path = tmp_path / "c3.dg"
     path.write_text("3 3\n  # u v\n0 1\n1 2\n2 0\n")
@@ -413,6 +430,22 @@ def test_sweep_rejects_an_even_electorate(capsys):
     assert "error: voters must be odd" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_sweep_rejects_fewer_than_one_sample(samples, capsys):
+    assert cli_dispatch(["sweep", "--n", "5", "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "samples must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("option, value", [("--voters", "4"), ("--phi", "7")])
+def test_sample_checks_parameters_the_model_does_not_read(option, value, capsys):
+    argv = ["sample", "--model", "uniform_tournament", "--n", "5", "--seed", "0",
+            option, value]
+    assert cli_dispatch(argv) == 2
+    assert "error: %s must" % option[2:] in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv", [["sample", "--model", "ic", "--n", "5", "--seed", "0"], ["sweep"]]
 )
@@ -583,6 +616,24 @@ def test_module_entry_point_exits_with_the_answer(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert '"dim": 3' in proc.stdout
+
+
+def test_modules_import_no_private_name_from_each_other():
+    # an underscore name stays inside its module; what another module
+    # needs is public there
+    src = Path(majdim.__file__).resolve().parent
+    crossings = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "majdim"
+            ):
+                crossings += [
+                    "%s: %s" % (path.name, alias.name)
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert crossings == []
 
 
 def test_sources_parse_as_python_3_10():

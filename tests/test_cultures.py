@@ -35,6 +35,16 @@ def test_spec_validation():
         CultureSpec(model="spatial", n=5, dims=0)
 
 
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize(
+    "field, value", [("voters", 4), ("phi", 0.0), ("phi", 7.0), ("dims", 0)]
+)
+def test_every_field_is_checked_for_every_model(model, field, value):
+    # also the fields a model does not read
+    with pytest.raises(ValueError, match=field):
+        CultureSpec(model=model, n=5, **{field: value})
+
+
 def test_metadata_carries_model_parameters():
     spec = CultureSpec(model="mallows", n=6, voters=9, phi=0.4, seed=3)
     assert spec.metadata() == {

@@ -25,6 +25,7 @@ from majdim.digraph import (
 )
 
 from majdim.cultures import qr_tournament
+from majdim.profiles import profile_from_text
 
 from conftest import (
     HEX_NOT_2,
@@ -735,9 +736,30 @@ def test_digraph_text_rejects_repeated_arc():
     ],
 )
 def test_digraph_text_reports_the_first_faulty_line(text, message):
-    # a repeated arc and an out-of-range id, in either order
-    with pytest.raises(ValueError, match=message):
-        digraph_from_text(text)
+    # a repeated arc and an out-of-range id, in either order; the weighted
+    # reader gets the same arc lines, each with a weight
+    header, *arcs = text.splitlines()
+    weighted = "\n".join([header] + [arc + " 2" for arc in arcs])
+    for reader, t in ((digraph_from_text, text), (weighted_from_text, weighted)):
+        with pytest.raises(ValueError, match=message):
+            reader(t)
+
+
+@pytest.mark.parametrize(
+    "reader, header",
+    [(digraph_from_text, "n m"), (weighted_from_text, "n m"),
+     (profile_from_text, "n k")],
+    ids=["digraph", "weighted", "profile"],
+)
+@pytest.mark.parametrize(
+    "text",
+    ["-1 0\n", "2 -1\n", "2\n", "# no header\n", "2 1\n", "2 0\n0 1\n"],
+    ids=["negative-n", "negative-count", "one-field", "empty", "too-few-lines",
+         "too-many-lines"],
+)
+def test_readers_name_a_faulty_header(reader, header, text):
+    with pytest.raises(ValueError, match="'%s' header" % header):
+        reader(text)
 
 
 def test_weighted_text_rejects_repeated_arc():
