@@ -570,12 +570,17 @@ class WeightedDigraph:
 # Profile (in profiles.py) reads its "n k" format through read_rows too.
 
 
-def read_rows(text: str, header: str) -> tuple[int, list[tuple[int, ...]]]:
+def read_rows(
+    text: str, header: str, n_wide: bool = False
+) -> tuple[int, list[tuple[int, ...]]]:
     """Header value n and body rows of a line format such as ``'n m'``.
 
     Blank lines and lines starting with '#' are skipped.  The first line
     left is the header: two non-negative integers, the second of which
-    is the number of body lines.  Every line is read as integers.
+    is the number of body lines.  Every line is read as integers.  With
+    ``n_wide`` (each row lists n values, as a ``.prof`` ranking does) a
+    header with n = 0 and no body stands for that many empty rows, since
+    an empty row is a blank line.
     """
     rows = [
         tuple(map(int, line.split()))
@@ -587,6 +592,8 @@ def read_rows(text: str, header: str) -> tuple[int, list[tuple[int, ...]]]:
             "first line must be the %r header: two non-negative integers" % header
         )
     (n, count), body = rows[0], rows[1:]
+    if n_wide and n == 0 and not body:
+        return 0, [()] * count
     if len(body) != count:
         raise ValueError(
             "expected %d lines after the %r header, got %d" % (count, header, len(body))
@@ -623,9 +630,11 @@ def graph_from_text(text: str) -> Digraph | WeightedDigraph:
 
 def _from_arc_lines(n: int, body, weighted: bool) -> Digraph | WeightedDigraph:
     """The first faulty arc line is reported; on one line a wrong field
-    count, then an id outside 0..n-1, then a repeat, then a weight <= 0."""
+    count, then an id outside 0..n-1, then a repeat, then a weight <= 0,
+    then (weighted) the reverse of a pair already listed."""
     width = 3 if weighted else 2
     rows = [0] * n
+    w = [[0] * n for _ in range(n)] if weighted else None
     for line in body:
         if len(line) != width:
             raise ValueError("expected %d fields per line" % width)
@@ -634,11 +643,16 @@ def _from_arc_lines(n: int, body, weighted: bool) -> Digraph | WeightedDigraph:
             raise _outside(n, u, v)
         if rows[u] >> v & 1:
             raise ValueError("arc (%d, %d) listed twice" % (u, v))
-        if weighted and line[2] <= 0:
-            raise ValueError("only positive weights may be listed")
+        if weighted:
+            if line[2] <= 0:
+                raise ValueError("only positive weights may be listed")
+            if rows[v] >> u & 1:
+                raise ValueError("pair (%d, %d) specified twice" % (u, v))
+            w[u][v] = line[2]
+            w[v][u] = -line[2]
         rows[u] |= 1 << v
     if weighted:
-        return WeightedDigraph.from_pairs(n, {(u, v): w for u, v, w in body})
+        return WeightedDigraph(n, tuple(map(tuple, w)))
     return Digraph(n, tuple(rows))
 
 

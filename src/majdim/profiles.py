@@ -132,5 +132,5 @@ def profile_to_text(p: Profile) -> str:
 
 
 def profile_from_text(text: str) -> Profile:
-    n, rankings = read_rows(text, "n k")
+    n, rankings = read_rows(text, "n k", n_wide=True)
     return Profile(n, tuple(rankings))

@@ -12,9 +12,11 @@ from majdim import (
     Digraph,
     Profile,
     UndirectedGraph,
+    canonical_form,
     induces,
     majority_digraph,
 )
+from majdim.census import _extend
 from majdim.gadgets import GadgetOutput, _certified, _order_closure, two_voter_profile
 
 # A 5-vertex tournament known to be 3-inducible; INDUCING_PROFILE is a
@@ -173,6 +175,24 @@ def reference_to_dimacs(f: CnfFormula) -> str:
     for clause in f.clauses:
         out.append(" ".join(str(lit) for lit in clause) + " 0")
     return "\n".join(out) + "\n"
+
+
+def reference_enumerate_tournaments(n: int) -> list[Digraph]:
+    """One tournament per class on n vertices, by unpruned extension.
+
+    Every kept (m-1)-class is extended by a new vertex in all 2^(m-1)
+    ways; ``majdim.census.enumerate_tournaments`` extends only by a
+    least-score vertex and must reach the same classes.
+    """
+    level = [Digraph(1, (0,))]
+    for m in range(2, n + 1):
+        seen = {}
+        for parent in level:
+            for pattern in range(1 << (m - 1)):
+                child = _extend(parent, pattern)
+                seen.setdefault(canonical_form(child), child)
+        level = list(seen.values())
+    return level
 
 
 def majority_of(voters) -> Digraph:

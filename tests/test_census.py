@@ -10,12 +10,23 @@ from majdim import (
 from majdim.census import CSV_HEADER, CensusRow
 from majdim.digraph import Digraph, canonical_form
 
+from conftest import reference_enumerate_tournaments
 
-@pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 2), (4, 4), (5, 12), (6, 56)])
+
+@pytest.mark.parametrize(
+    "n,count", [(1, 1), (2, 1), (3, 2), (4, 4), (5, 12), (6, 56), (7, 456)]
+)
 def test_enumeration_counts(n, count):
     ts = list(enumerate_tournaments(n))
     assert len(ts) == count
     assert CLASS_COUNTS[n - 1] == count
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_enumeration_reaches_the_classes_of_unpruned_extension(n):
+    found = {canonical_form(t) for t in enumerate_tournaments(n)}
+    reference = {canonical_form(t) for t in reference_enumerate_tournaments(n)}
+    assert found == reference
 
 
 def test_enumeration_yields_distinct_tournaments():

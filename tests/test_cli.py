@@ -528,6 +528,18 @@ def test_gadget_inadmissible_formula_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_witness_on_the_empty_digraph_verifies(tmp_path, capsys):
+    graph = tmp_path / "empty.dg"
+    graph.write_text("0 0\n")
+    wit = tmp_path / "w.prof"
+    assert cli_dispatch(
+        ["check", "--graph", str(graph), "-k", "1", "--witness", str(wit)]
+    ) == 0
+    assert json.loads(capsys.readouterr().out) == {"inducible": True, "k": 1}
+    assert cli_dispatch(["verify", "--graph", str(graph), "--profile", str(wit)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"induces": True}
+
+
 def test_verify_mismatch_exits_one(t5_file, tmp_path, capsys):
     prof = tmp_path / "wrong.prof"
     prof.write_text("5 1\n0 1 2 3 4\n")

@@ -767,6 +767,20 @@ def test_weighted_text_rejects_repeated_arc():
         weighted_from_text("2 2\n0 1 3\n0 1 2\n")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3 2\n0 1 3\n1 0 2\n",
+        "3 3\n0 1 3\n1 0 2\n0 5 1\n",
+        "3 3\n0 1 3\n1 0 2\n2 1 0\n",
+    ],
+    ids=["alone", "before-an-out-of-range-id", "before-a-zero-weight"],
+)
+def test_weighted_text_reports_a_reverse_pair_at_its_line(text):
+    with pytest.raises(ValueError, match=r"pair \(1, 0\) specified twice"):
+        weighted_from_text(text)
+
+
 # every public constructor rejects a vertex id outside 0..n-1 by name, as
 # the text readers do
 OUT_OF_RANGE = [(-1, 0), (0, -1), (3, 0), (0, 5)]

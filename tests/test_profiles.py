@@ -126,3 +126,11 @@ def test_profile_text_round_trip(r):
         voters.append(tuple(order))
     p = Profile(n, tuple(voters))
     assert profile_from_text(profile_to_text(p)) == p
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_profile_text_round_trip_on_zero_alternatives(k):
+    # each empty ranking is a blank line, which the reader skips
+    p = Profile(0, ((),) * k)
+    assert profile_to_text(p) == "0 %d\n" % k + "\n" * k
+    assert profile_from_text(profile_to_text(p)) == p
