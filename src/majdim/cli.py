@@ -24,7 +24,7 @@ from pathlib import Path
 from .bounds import expressiveness_upper_bound
 from .census import CSV_HEADER, run_census
 from .cnf import from_dimacs, to_dimacs
-from .cultures import MODELS, CultureSpec, qr_tournament, sample
+from .cultures import MODELS, CultureSpec, check_parameters, qr_tournament, sample
 from .digraph import (
     Digraph,
     WeightedDigraph,
@@ -45,7 +45,7 @@ from .gadgets import (
 )
 from .preflib import parse_preflib_orders, parse_preflib_wmg
 from .profiles import induces, majority_digraph, profile_from_text, profile_to_text
-from .solver import SolverError
+from .solver import SolverError, check_timeout
 from .transforms import ThreeCnf, to_ordered3, to_reducedfew
 
 EXIT_OK = 0
@@ -173,6 +173,8 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_sample(args) -> int:
     if args.model == "qr":
+        # qr reads none of the culture flags but checks them like the rest
+        check_parameters(args.voters, args.phi, args.dims)
         g = qr_tournament(args.n)
         content = digraph_to_text(g)
         meta = {"model": "qr", "p": args.n, "seed": args.seed}
@@ -310,11 +312,12 @@ def _cmd_verify(args) -> int:
 
 
 def _timeout(text: str) -> float:
-    """argparse type of ``--timeout``: seconds, which must be positive."""
+    """argparse type of ``--timeout``: seconds, as ``check_timeout`` takes them."""
     value = float(text)
-    if not value > 0:  # NaN too
-        raise argparse.ArgumentTypeError("timeout must be positive, got %s" % text)
-    return value
+    try:
+        return check_timeout(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _at_least_one(name: str):

@@ -20,6 +20,20 @@ from .profiles import LinearOrder, Profile
 MODELS = ("uniform_tournament", "ic", "iac", "mallows", "spatial")
 
 
+def check_parameters(voters: int, phi: float, dims: int) -> None:
+    """Raise ValueError unless ``voters``, ``phi`` and ``dims`` are in range.
+
+    ``CultureSpec`` checks all three for every model, also those the model
+    does not read, and ``majdim sample --model qr`` checks them too.
+    """
+    if voters < 1 or voters % 2 == 0:
+        raise ValueError("voters must be odd and positive")
+    if not 0.0 < phi <= 1.0:
+        raise ValueError("phi must lie in (0, 1]")
+    if dims < 1:
+        raise ValueError("dims must be at least 1")
+
+
 @dataclass(frozen=True)
 class CultureSpec:
     """Parameters of one sampling run.
@@ -43,12 +57,7 @@ class CultureSpec:
             )
         if self.n < 1:
             raise ValueError("n must be positive")
-        if self.voters < 1 or self.voters % 2 == 0:
-            raise ValueError("voters must be odd and positive")
-        if not 0.0 < self.phi <= 1.0:
-            raise ValueError("phi must lie in (0, 1]")
-        if self.dims < 1:
-            raise ValueError("dims must be at least 1")
+        check_parameters(self.voters, self.phi, self.dims)
 
     def metadata(self) -> dict:
         meta: dict = {"model": self.model, "n": self.n, "seed": self.seed}

@@ -20,6 +20,10 @@ Voter counts are constants fixed by the constructions: 5 (Banks), 7
 The unweighted compilers write their graphs and dense blocks straight
 into out-neighbour rows; ``Digraph.from_arcs`` takes only the sparse arc
 sets listed one by one (exception arcs, links, star forests, Kemeny).
+The weighted ranked-pairs compilers share one skeleton of arcs and star
+forest blocks and give each arc its margin by its role; the tournament
+completes the digraph from the lower vertex id to the higher, the order
+of its completion voter.
 """
 
 from __future__ import annotations
@@ -538,70 +542,43 @@ def _replicate_components(
 # variable, and one vertex per clause.  d beats u^1 and u^3, clause
 # vertices beat d, and each clause vertex is beaten by the tokens of its
 # literals: u^2 for a positive occurrence, u^4 for a negative one.  The
-# cycle arcs (u^2, u^3) and (u^4, u^1) are the heavy ones.
+# cycle arcs (u^2, u^3) and (u^4, u^1) are the heavy ones.  The ids run
+# d = 0, then u_i^1..u_i^4 = 4i-3..4i, then the clause vertices.
 
 
 def _rp_skeleton(f: ThreeCnf):
+    """Vertex count, arcs, heavy arcs and 2-voter blocks E1..E4 of ``f``."""
     if not f.clauses:
         raise ValueError("formula needs at least one clause")
     if f.variables < 1:
         raise ValueError("formula needs at least one variable")
-    m, num_clauses = f.variables, len(f.clauses)
-    n = 1 + 4 * m + num_clauses
+    first_clause = 1 + 4 * f.variables
+    n = first_clause + len(f.clauses)
+    out_d: list[tuple[int, int]] = []
+    heavy: list[tuple[int, int]] = []
+    light: list[tuple[int, int]] = []
+    for u1 in range(1, first_clause, 4):
+        out_d += [(0, u1), (0, u1 + 2)]
+        heavy += [(u1 + 1, u1 + 2), (u1 + 3, u1)]
+        light += [(u1, u1 + 1), (u1 + 2, u1 + 3)]
+    into_d = [(x, 0) for x in range(first_clause, n)]
 
-    def u(i: int, j: int) -> int:
-        return 1 + 4 * (i - 1) + (j - 1)
-
-    def x(j: int) -> int:
-        return 1 + 4 * m + (j - 1)
-
-    sigma: list[tuple[int, int]] = []
-    for i in range(1, m + 1):
-        sigma += [(0, u(i, 1)), (0, u(i, 3))]
-        sigma += [
-            (u(i, 1), u(i, 2)),
-            (u(i, 2), u(i, 3)),
-            (u(i, 3), u(i, 4)),
-            (u(i, 4), u(i, 1)),
-        ]
-    for j in range(1, num_clauses + 1):
-        sigma.append((x(j), 0))
-
-    # clause arcs ranked per target so the blocks can split them three
-    # ways with at most one arc per clause vertex in each block
-    ranked_phi: list[list[tuple[int, int]]] = []
-    for j, clause in enumerate(f.clauses, start=1):
-        sources = sorted(
-            u(abs(lit), 2 if lit > 0 else 4) for lit in clause
-        )
-        ranked_phi.append([(s, x(j)) for s in sources])
-
-    heavy = []
-    for i in range(1, m + 1):
-        heavy += [(u(i, 2), u(i, 3)), (u(i, 4), u(i, 1))]
-    return n, m, num_clauses, u, x, sigma, ranked_phi, heavy
-
-
-def _rp_blocks(n, m, num_clauses, u, x, ranked_phi, heavy):
+    # clause arcs ranked per target so the banks split them three ways
+    # with at most one arc per clause vertex in each block
     banks: list[list[tuple[int, int]]] = [[], [], []]
-    for ranked in ranked_phi:
-        for slot, arc in enumerate(ranked):
-            banks[slot].append(arc)
-    e1 = Digraph.from_arcs(n, heavy + banks[0])
-    e2 = Digraph.from_arcs(n, heavy + banks[1])
-    e3 = Digraph.from_arcs(
-        n,
-        banks[2]
-        + [(0, u(i, 1)) for i in range(1, m + 1)]
-        + [(0, u(i, 3)) for i in range(1, m + 1)],
+    for x, clause in enumerate(f.clauses, start=first_clause):
+        sources = sorted(4 * abs(lit) - (2 if lit > 0 else 0) for lit in clause)
+        for bank, s in zip(banks, sources):
+            bank.append((s, x))
+
+    blocks = (
+        Digraph.from_arcs(n, heavy + banks[0]),
+        Digraph.from_arcs(n, heavy + banks[1]),
+        Digraph.from_arcs(n, banks[2] + out_d),
+        Digraph.from_arcs(n, into_d + light),
     )
-    e4 = Digraph.from_arcs(
-        n,
-        [(x(j), 0) for j in range(1, num_clauses + 1)]
-        + [(u(i, 1), u(i, 2)) for i in range(1, m + 1)]
-        + [(u(i, 3), u(i, 4)) for i in range(1, m + 1)],
-    )
-    return e1, e2, e3, e4
+    arcs = out_d + heavy + light + into_d + banks[0] + banks[1] + banks[2]
+    return n, arcs, set(heavy), blocks
 
 
 def rp_digraph(f: ThreeCnf) -> GadgetOutput:
@@ -612,72 +589,29 @@ def rp_digraph(f: ThreeCnf) -> GadgetOutput:
     forest blocks, the first two sharing the heavy arcs so those margins
     double.
     """
-    n, m, num_clauses, u, x, sigma, ranked_phi, heavy = _rp_skeleton(f)
-    weights: dict[tuple[int, int], int] = {arc: 2 for arc in sigma}
-    for ranked in ranked_phi:
-        for arc in ranked:
-            weights[arc] = 2
-    for arc in heavy:
-        weights[arc] = 4
-    graph = WeightedDigraph.from_pairs(n, weights)
-
-    return _certified(
-        graph, 0, _rp_blocks(n, m, num_clauses, u, x, ranked_phi, heavy)
-    )
+    n, arcs, heavy, blocks = _rp_skeleton(f)
+    weights = {arc: 4 if arc in heavy else 2 for arc in arcs}
+    return _certified(WeightedDigraph.from_pairs(n, weights), 0, blocks)
 
 
 def rp_tournament(f: ThreeCnf) -> GadgetOutput:
     """Weighted tournament version of ``rp_digraph``, 11 voters.
 
-    The digraph is completed by low-priority arcs: d over u^2 and u^4,
-    non-literal tokens over clause vertices, the in-block diagonals
-    (u^1, u^3) and (u^2, u^4), and ascending block and clause chains.
-    Weights become 5 on the heavy cycle arcs, 3 on the other original
-    arcs, 1 on the completion arcs.  A fifth block doubles the clause
-    arcs into d and the (u^4, u^1) cycle arcs, and a final voter ranks
-    d, then the blocks, then the clause vertices, which leaves every
-    completion arc at margin exactly 1.
+    The digraph is completed by weight-1 arcs from the lower id to the
+    higher on every pair it leaves open: d over u^2 and u^4, the in-block
+    diagonals (u^1, u^3) and (u^2, u^4), non-literal tokens over clause
+    vertices, and ascending block and clause chains.  Weights become 5 on
+    the heavy cycle arcs and 3 on the other original arcs.  A fifth block
+    doubles the arcs that run from a higher id to a lower, the clause arcs
+    into d and the (u^4, u^1) cycle arcs, and a final voter ranks the ids
+    in order, which leaves every completion arc at margin exactly 1.
     """
-    n, m, num_clauses, u, x, sigma, ranked_phi, heavy = _rp_skeleton(f)
-    phi_arcs = {arc for ranked in ranked_phi for arc in ranked}
-
-    completion_arcs: list[tuple[int, int]] = []
-    for i in range(1, m + 1):
-        completion_arcs += [(0, u(i, 2)), (0, u(i, 4))]
-        completion_arcs += [(u(i, 1), u(i, 3)), (u(i, 2), u(i, 4))]
-    for i1 in range(1, m + 1):
-        for i2 in range(i1 + 1, m + 1):
-            for a in range(1, 5):
-                for b in range(1, 5):
-                    completion_arcs.append((u(i1, a), u(i2, b)))
-    for j1 in range(1, num_clauses + 1):
-        for j2 in range(j1 + 1, num_clauses + 1):
-            completion_arcs.append((x(j1), x(j2)))
-    for i in range(1, m + 1):
-        for a in range(1, 5):
-            for j in range(1, num_clauses + 1):
-                if (u(i, a), x(j)) not in phi_arcs:
-                    completion_arcs.append((u(i, a), x(j)))
-
-    heavy_set = set(heavy)
-    weights: dict[tuple[int, int], int] = {}
-    for arc in sigma:
-        weights[arc] = 5 if arc in heavy_set else 3
-    for arc in phi_arcs:
-        weights[arc] = 3
-    for arc in completion_arcs:
-        weights[arc] = 1
+    n, arcs, heavy, blocks = _rp_skeleton(f)
+    weights = {arc: 5 if arc in heavy else 3 for arc in arcs}
+    for a in range(n):
+        for b in range(a + 1, n):
+            if (a, b) not in weights and (b, a) not in weights:
+                weights[a, b] = 1
     graph = WeightedDigraph.from_pairs(n, weights)
-
-    e5 = Digraph.from_arcs(
-        n,
-        [(x(j), 0) for j in range(1, num_clauses + 1)]
-        + [(u(i, 4), u(i, 1)) for i in range(1, m + 1)],
-    )
-    completion = [0]
-    for i in range(1, m + 1):
-        completion.extend(u(i, a) for a in range(1, 5))
-    completion.extend(x(j) for j in range(1, num_clauses + 1))
-
-    blocks = _rp_blocks(n, m, num_clauses, u, x, ranked_phi, heavy)
-    return _certified(graph, 0, [*blocks, e5], completion)
+    e5 = Digraph.from_arcs(n, [(a, b) for a, b in arcs if a > b])
+    return _certified(graph, 0, [*blocks, e5], list(range(n)))

@@ -43,6 +43,11 @@ _SOURCE = Path(__file__).parent / "backend" / "minicdcl.c"
 # (Q_19 at k = 5 has 15k clauses) keeps its learnt clauses out of our RSS.
 IN_PROCESS_CLAUSES = 4096
 
+# The longest timeout, in seconds (about 11.6 days), that both routes
+# honour: the child route waits through poll(), whose millisecond argument
+# overflows above 2**31 - 1 ms, and mc_solve casts the seconds to time_t.
+MAX_TIMEOUT = 1_000_000
+
 # The counts a bundled solve reports, in mc_solve's stats[] order; the
 # executable prints them as "c conflicts N" lines.
 STATS = ("conflicts", "decisions", "restarts")
@@ -172,16 +177,26 @@ def backend_command() -> list[str]:
     return cmd
 
 
+def check_timeout(timeout: float) -> float:
+    """Return ``timeout`` if it is positive and at most ``MAX_TIMEOUT``."""
+    if not 0 < timeout <= MAX_TIMEOUT:  # NaN and infinity too
+        raise ValueError(
+            "timeout must be positive and at most %d s, got %g s"
+            % (MAX_TIMEOUT, timeout)
+        )
+    return timeout
+
+
 def solve(f: CnfFormula, timeout: float | None = None) -> SolveResult:
     """Decide ``f``.  TIMEOUT is a result, not an error.
 
     The bundled solver takes ``f`` in-process when it has at most
     ``IN_PROCESS_CLAUSES`` clauses; a larger ``f``, or any ``f`` when
     ``MAJDIM_SAT_SOLVER`` is set, goes to a child process.  A ``timeout``
-    must be positive; None means no limit.
+    must pass ``check_timeout``; None means no limit.
     """
-    if timeout is not None and not timeout > 0:  # NaN too
-        raise ValueError("timeout must be positive, got %g s" % timeout)
+    if timeout is not None:
+        check_timeout(timeout)
     if not os.environ.get(ENV_BACKEND) and len(f.clauses) <= IN_PROCESS_CLAUSES:
         return _solve_in_process(to_dimacs(f), f.num_vars, timeout)
     return _solve_in_child(f, timeout)

@@ -186,7 +186,8 @@ def test_indented_comment_does_not_make_a_file_weighted(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["dim"] == 3
 
 
-@pytest.mark.parametrize("timeout", ["0", "-1", "nan"])
+# inf and 1e8 are above the cap that both solver routes honour
+@pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf", "1e8"])
 @pytest.mark.parametrize("external", [False, True])
 def test_non_positive_timeout_is_usage_error(
     timeout, external, tmp_path, monkeypatch, capsys
@@ -204,7 +205,7 @@ def test_non_positive_timeout_is_usage_error(
     assert "timeout must be positive" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("timeout", ["0", "-1", "-0.5", "nan"])
+@pytest.mark.parametrize("timeout", ["0", "-1", "-0.5", "nan", "inf"])
 @pytest.mark.parametrize(
     "command",
     [["dim"], ["check", "-k", "1"], ["census", "--n", "3", "--k", "3"]],
@@ -444,6 +445,18 @@ def test_sample_checks_parameters_the_model_does_not_read(option, value, capsys)
             option, value]
     assert cli_dispatch(argv) == 2
     assert "error: %s must" % option[2:] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, value", [("--voters", "4"), ("--phi", "7"), ("--dims", "0")]
+)
+def test_sample_qr_checks_the_culture_flags(option, value, capsys):
+    # qr reads none of them, but they exit 2 whatever the --model
+    argv = ["sample", "--model", "qr", "--n", "7", "--seed", "0", option, value]
+    assert cli_dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: %s must" % option[2:] in captured.err
 
 
 @pytest.mark.parametrize(

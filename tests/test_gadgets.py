@@ -305,6 +305,23 @@ def test_rp_tournament_battery(rng):
         assert_block_structure(out)
 
 
+def test_rp_tournament_completes_rp_digraph_by_vertex_order(rng):
+    for _ in range(BATTERY):
+        f = random_three_cnf(
+            rng, rng.randrange(1, 6), rng.randrange(1, 8), exactly_three=False
+        )
+        digraph, tournament = rp_digraph(f).graph, rp_tournament(f).graph
+        for u in range(digraph.n):
+            for v in range(u + 1, digraph.n):
+                w = digraph.weight(u, v)
+                if w == 0:
+                    # a pair outside the support runs forward at margin 1
+                    assert tournament.weight(u, v) == 1
+                else:
+                    # a support arc keeps its side, 4 -> 5 and 2 -> 3
+                    assert tournament.weight(u, v) == w + (1 if w > 0 else -1)
+
+
 def test_rp_rejects_empty():
     with pytest.raises(ValueError):
         rp_digraph(ThreeCnf.of(3, []))

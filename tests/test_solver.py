@@ -140,7 +140,11 @@ def test_in_process_timeout_is_a_result():
     assert time.monotonic() - start < 1.0
 
 
-@pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
+# above the cap, poll() on the child route overflows and mc_solve casts
+# the seconds to time_t
+@pytest.mark.parametrize(
+    "timeout", [0, -1.0, float("nan"), float("inf"), solver.MAX_TIMEOUT + 1]
+)
 def test_non_positive_timeout_is_rejected_on_both_routes(timeout, monkeypatch):
     f = pigeonhole(3, 2)
     monkeypatch.delenv("MAJDIM_SAT_SOLVER", raising=False)
@@ -149,6 +153,14 @@ def test_non_positive_timeout_is_rejected_on_both_routes(timeout, monkeypatch):
     monkeypatch.setenv("MAJDIM_SAT_SOLVER", str(bundled_solver_path()))
     with pytest.raises(ValueError, match="timeout must be positive"):
         solve(f, timeout=timeout)
+
+
+def test_the_timeout_cap_itself_is_accepted_on_both_routes(monkeypatch):
+    f = pigeonhole(3, 2)
+    monkeypatch.delenv("MAJDIM_SAT_SOLVER", raising=False)
+    assert solve(f, timeout=solver.MAX_TIMEOUT).is_unsat
+    monkeypatch.setenv("MAJDIM_SAT_SOLVER", str(bundled_solver_path()))
+    assert solve(f, timeout=solver.MAX_TIMEOUT).is_unsat
 
 
 def test_threads_solve_side_by_side():
