@@ -35,7 +35,6 @@ from .encoding import (
     ParityError,
     encode_check_k,
     decode_model,
-    majority_threshold,
 )
 from .dimension import (
     DimensionResult,
@@ -70,6 +69,7 @@ from .profiles import (
     Profile,
     induces,
     majority_digraph,
+    majority_threshold,
     mcgarvey_profile,
     weighted_majority,
 )

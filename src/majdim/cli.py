@@ -115,7 +115,7 @@ def _emit(payload: dict, out: str | None):
 def _three_cnf_from_dimacs(path: str) -> ThreeCnf:
     f = from_dimacs(_read_input(path, "formula"))
     try:
-        return ThreeCnf.of(f.num_vars, [tuple(c) for c in f.clauses])
+        return ThreeCnf(f.num_vars, f.clauses)
     except ValueError as exc:
         raise UsageError("not a 3-CNF with distinct variables: %s" % exc)
 
@@ -285,7 +285,7 @@ def _cmd_transform(args) -> int:
         g = to_ordered3(f) if args.to == "ordered3" else to_reducedfew(f)
     except ValueError as exc:
         raise UsageError(str(exc))
-    text = to_dimacs(g.to_cnf())
+    text = to_dimacs(g)
     if args.out:
         _write(args.out, text)
     else:
@@ -293,7 +293,7 @@ def _cmd_transform(args) -> int:
     _emit(
         {
             "target": args.to,
-            "variables": g.variables,
+            "variables": g.num_vars,
             "clauses": len(g.clauses),
             "ordered": g.is_ordered,
             "reduced_few": g.is_reduced_few,

@@ -52,7 +52,7 @@ def from_dimacs(text: str) -> CnfFormula:
     header = None
     clauses: list[tuple[int, ...]] = []
     pending: list[int] = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -62,12 +62,25 @@ def from_dimacs(text: str) -> CnfFormula:
                 raise ValueError("malformed problem line: %r" % line)
             if header is not None:
                 raise ValueError("second problem line: %r" % line)
-            header = int(parts[2]), int(parts[3])
+            header = []
+            for tok in parts[2:]:
+                try:
+                    header.append(int(tok))
+                except ValueError:
+                    raise ValueError(
+                        "malformed problem line: %r; line %d has %r"
+                        % (line, number, tok)
+                    ) from None
             continue
         if header is None:
             raise ValueError("clause before the 'p cnf' header")
         for tok in line.split():
-            lit = int(tok)
+            try:
+                lit = int(tok)
+            except ValueError:
+                raise ValueError(
+                    "line %d: %r is not an integer" % (number, tok)
+                ) from None
             if lit == 0:
                 clauses.append(tuple(pending))
                 pending = []

@@ -577,20 +577,23 @@ def read_rows(
 
     Blank lines and lines starting with '#' are skipped.  The first line
     left is the header: two non-negative integers, the second of which
-    is the number of body lines.  Every line is read as integers.  With
-    ``n_wide`` (each row lists n values, as a ``.prof`` ranking does) a
-    header with n = 0 and no body stands for that many empty rows, since
-    an empty row is a blank line.
+    is the number of body lines.  Every line is read as integers before
+    anything else is checked, so the first token that is not an integer
+    is reported first, with its line number.  With ``n_wide`` (each row
+    lists n values, as a ``.prof`` ranking does) a header with n = 0 and
+    no body stands for that many empty rows, since an empty row is a
+    blank line.
     """
-    rows = [
-        tuple(map(int, line.split()))
-        for line in map(str.strip, text.splitlines())
-        if line and not line.startswith("#")
-    ]
+    try:
+        rows = [
+            tuple(map(int, line.split()))
+            for line in map(str.strip, text.splitlines())
+            if line and not line.startswith("#")
+        ]
+    except ValueError:
+        raise _non_integer(text, header) from None
     if not rows or len(rows[0]) != 2 or min(rows[0]) < 0:
-        raise ValueError(
-            "first line must be the %r header: two non-negative integers" % header
-        )
+        raise ValueError(_HEADER % header)
     (n, count), body = rows[0], rows[1:]
     if n_wide and n == 0 and not body:
         return 0, [()] * count
@@ -599,6 +602,29 @@ def read_rows(
             "expected %d lines after the %r header, got %d" % (count, header, len(body))
         )
     return n, body
+
+
+_HEADER = "first line must be the %r header: two non-negative integers"
+
+
+def _non_integer(text: str, header: str) -> ValueError:
+    """The error for the first token of ``text`` that is not an integer,
+    numbering lines from 1 and counting skipped ones."""
+    in_header = True
+    for number, line in enumerate(map(str.strip, text.splitlines()), 1):
+        if not line or line.startswith("#"):
+            continue
+        for token in line.split():
+            try:
+                int(token)
+            except ValueError:
+                if in_header:
+                    return ValueError(
+                        (_HEADER + "; line %d has %r") % (header, number, token)
+                    )
+                return ValueError("line %d: %r is not an integer" % (number, token))
+        in_header = False
+    raise AssertionError("every token of the text is an integer")
 
 
 def digraph_to_text(g: Digraph) -> str:

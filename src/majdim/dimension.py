@@ -84,7 +84,7 @@ def check_k_majority(
         )
     if result.is_unsat:
         return None
-    profile = decode_model(result.model, vm, g.n, k)
+    profile = decode_model(result.model, vm)
     if not induces(profile, g):
         raise ModelInconsistencyError("decoded profile does not induce input")
     return profile

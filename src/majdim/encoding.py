@@ -34,14 +34,9 @@ from dataclasses import dataclass
 
 from .cnf import CnfFormula
 from .digraph import Digraph, incomparability_graph, linear_order
-from .profiles import Profile
+from .profiles import Profile, majority_threshold
 
 MODES = ("paper_faithful", "optimized")
-
-
-def majority_threshold(k: int) -> int:
-    """Smallest number of voters forming a strict majority among k."""
-    return k // 2 + 1
 
 
 class ParityError(ValueError):
@@ -212,9 +207,7 @@ def encode_check_k(
     return _encode_optimized(g, k)
 
 
-def decode_model(
-    model: dict[int, bool], vm: VarMap, n: int, k: int
-) -> Profile:
+def decode_model(model: dict[int, bool], vm: VarMap) -> Profile:
     """Read a satisfying assignment back into a k-voter profile.
 
     Validates that every voter's relation is a strict linear order; a
@@ -222,8 +215,7 @@ def decode_model(
     returned a bogus model, so it raises ModelInconsistencyError rather
     than a user-facing error.
     """
-    if (n, k) != (vm.n, vm.k):
-        raise ValueError("VarMap was built for n=%d, k=%d" % (vm.n, vm.k))
+    n = vm.n
 
     def holds(lit: int) -> bool:
         value = model.get(abs(lit), False)

@@ -407,7 +407,7 @@ def slater_tournament(f: ThreeCnf, component_size: int = 1) -> GadgetOutput:
     if any(len(c) == 1 for c in f.clauses):
         raise ValueError("clauses must have two or three literals")
 
-    m = f.variables
+    m = f.num_vars
     num_clauses = len(f.clauses)
     n = 6 * m + num_clauses
 
@@ -550,9 +550,9 @@ def _rp_skeleton(f: ThreeCnf):
     """Vertex count, arcs, heavy arcs and 2-voter blocks E1..E4 of ``f``."""
     if not f.clauses:
         raise ValueError("formula needs at least one clause")
-    if f.variables < 1:
+    if f.num_vars < 1:
         raise ValueError("formula needs at least one variable")
-    first_clause = 1 + 4 * f.variables
+    first_clause = 1 + 4 * f.num_vars
     n = first_clause + len(f.clauses)
     out_d: list[tuple[int, int]] = []
     heavy: list[tuple[int, int]] = []

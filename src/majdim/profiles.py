@@ -32,6 +32,11 @@ class Profile:
         return Profile(n, tuple(tuple(o) for o in orders))
 
 
+def majority_threshold(k: int) -> int:
+    """Smallest number of voters forming a strict majority among k."""
+    return k // 2 + 1
+
+
 def _margin_matrix(p: Profile) -> list[list[int]]:
     n = p.n
     w = [[0] * n for _ in range(n)]
@@ -52,15 +57,16 @@ def weighted_majority(p: Profile) -> WeightedDigraph:
 def _majority_rows(p: Profile) -> tuple[int, ...]:
     """Out-neighbour masks of the strict majority, counted in bit planes.
 
-    Arc u->v needs at least t = k//2 + 1 voters ranking u above v.  Each u
-    keeps a binary counter per target, sliced into planes (plane j holds
-    bit j of every target's count) and started at 2^L - t with 2^L >= t.
+    Arc u->v needs at least t = majority_threshold(k) voters ranking u
+    above v.  Each u keeps a binary counter per target, sliced into planes
+    (plane j holds bit j of every target's count) and started at 2^L - t
+    with 2^L >= t.
     A voter adds the mask of vertices ranked below u, ripple-carrying
     through the planes, and since the count never exceeds k < 2^L + t, the
     targets with count >= t are exactly plane L.
     """
     n = p.n
-    t = p.k // 2 + 1
+    t = majority_threshold(p.k)
     top = (t - 1).bit_length()  # L
     full = (1 << n) - 1
     start = (1 << top) - t

@@ -9,39 +9,32 @@ Two target fragments:
   three times, every variable is in at most one three-literal clause, and
   every literal is in at most one two-literal clause.
 
-Both reductions are satisfiability-preserving.
+Both reductions are satisfiability-preserving.  They read and return a
+:class:`ThreeCnf`, which is a :class:`~majdim.cnf.CnfFormula` that also
+checks the clause width and the distinct variables, so their output goes
+to ``to_dimacs`` and ``solve`` as it is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cnf import CnfFormula
 
 
-@dataclass(frozen=True)
-class ThreeCnf:
-    """CNF with at most three distinct-variable literals per clause."""
-
-    variables: int
-    clauses: tuple[tuple[int, ...], ...]
+class ThreeCnf(CnfFormula):
+    """A :class:`CnfFormula` with at most three literals per clause, each
+    on a different variable."""
 
     def __post_init__(self):
-        if self.variables < 0:
-            raise ValueError("negative variable count %d" % self.variables)
+        super().__post_init__()
         for clause in self.clauses:
-            if not 1 <= len(clause) <= 3:
+            if len(clause) > 3:
                 raise ValueError("clauses must have 1..3 literals")
-            vs = [abs(l) for l in clause]
-            if len(set(vs)) != len(vs):
+            if len({abs(l) for l in clause}) != len(clause):
                 raise ValueError("clause repeats a variable: %r" % (clause,))
-            for lit in clause:
-                if lit == 0 or abs(lit) > self.variables:
-                    raise ValueError("literal %d out of range" % lit)
 
     @staticmethod
-    def of(variables: int, clauses) -> "ThreeCnf":
-        return ThreeCnf(variables, tuple(tuple(c) for c in clauses))
+    def of(num_vars: int, clauses) -> "ThreeCnf":
+        return ThreeCnf(num_vars, tuple(tuple(c) for c in clauses))
 
     @property
     def is_ordered(self) -> bool:
@@ -81,9 +74,6 @@ class ThreeCnf:
             and all(c <= 1 for c in var_in_three.values())
             and all(c <= 1 for c in lit_in_two.values())
         )
-
-    def to_cnf(self) -> CnfFormula:
-        return CnfFormula(self.variables, self.clauses)
 
 
 def _unit_propagate(clauses):
@@ -150,11 +140,11 @@ def _preprocess(f: ThreeCnf):
     """
     residual, status = _unit_propagate(f.clauses)
     if status == "sat":
-        return [], f.variables
+        return [], f.num_vars
     if status == "unsat":
         residual, num_vars = _canned_unsat(), 6
     else:
-        num_vars = f.variables
+        num_vars = f.num_vars
     padded = []
     for clause in residual:
         if len(clause) == 2:
@@ -230,9 +220,9 @@ def to_reducedfew(f: ThreeCnf) -> ThreeCnf:
     return ThreeCnf(next_var, tuple(renamed + cycles))
 
 
-def brute_force_sat(f: ThreeCnf | CnfFormula, max_vars: int = 22) -> bool:
+def brute_force_sat(f: CnfFormula, max_vars: int = 22) -> bool:
     """Exhaustive truth-table satisfiability oracle (small formulas only)."""
-    nv = f.variables if isinstance(f, ThreeCnf) else f.num_vars
+    nv = f.num_vars
     if nv > max_vars:
         raise ValueError("too many variables for the truth-table oracle")
     masks = []

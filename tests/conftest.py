@@ -323,7 +323,7 @@ def reference_teq_tournament(f):
 
 
 def reference_slater_tournament(f, component_size: int = 1):
-    m = f.variables
+    m = f.num_vars
     num_clauses = len(f.clauses)
     n = 6 * m + num_clauses
 

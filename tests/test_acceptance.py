@@ -338,9 +338,9 @@ def test_criterion_08_transform_battery():
         # Outputs can exceed the truth-table cap, so their satisfiability is
         # measured with the CDCL solver (itself validated against the truth
         # table in the per-module suites).
-        elif solve(ordered.to_cnf()).is_sat != sat:
+        elif solve(ordered).is_sat != sat:
             failures += 1
-        elif solve(reduced.to_cnf()).is_sat != sat:
+        elif solve(reduced).is_sat != sat:
             failures += 1
     ok = failures == 0
     _verdict(8, ok, "500 formulas through both rewrites, %d failures" % failures)

@@ -162,7 +162,9 @@ def test_repeated_arc_line_is_a_usage_error(tmp_path, capsys):
     assert "arc (0, 1) listed twice" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["-1 0\n", "2 -1\n", "2\n", "3 2\n0 1\n"])
+@pytest.mark.parametrize(
+    "text", ["-1 0\n", "2 -1\n", "2\n", "3 2\n0 1\n", "3 x\n0 1\n"]
+)
 def test_dim_rejects_a_faulty_header(text, tmp_path, capsys):
     path = tmp_path / "g.dg"
     path.write_text(text)

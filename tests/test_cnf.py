@@ -56,6 +56,23 @@ def test_reader_rejects_malformed_headers(text, message):
         from_dimacs(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("c comment\np cnf x 1\n1 0\n",
+         "malformed problem line: 'p cnf x 1'; line 2 has 'x'"),
+        ("p cnf 2 1.0\n1 0\n",
+         "malformed problem line: 'p cnf 2 1.0'; line 1 has '1.0'"),
+        ("p cnf 2 2\n1 -2 0\n2 y 0\n", "line 3: 'y' is not an integer"),
+    ],
+    ids=["header-variables", "header-clauses", "clause"],
+)
+def test_reader_names_a_non_integer_token_and_its_line(text, message):
+    with pytest.raises(ValueError) as exc:
+        from_dimacs(text)
+    assert str(exc.value) == message
+
+
 def test_formula_rejects_a_negative_variable_count():
     with pytest.raises(ValueError, match="negative variable count"):
         CnfFormula(-1, ())

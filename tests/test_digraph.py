@@ -762,6 +762,36 @@ def test_readers_name_a_faulty_header(reader, header, text):
         reader(text)
 
 
+@pytest.mark.parametrize(
+    "reader, text, message",
+    [
+        (digraph_from_text, "# a comment\n\n3 x\n0 1\n",
+         "first line must be the 'n m' header: two non-negative integers;"
+         " line 3 has 'x'"),
+        (digraph_from_text, "3 2\n0 1\n1 x\n", "line 3: 'x' is not an integer"),
+        (digraph_from_text, "3 2\n0 7\n1 x\n", "line 3: 'x' is not an integer"),
+        (weighted_from_text, "3.0 1\n0 1 2\n",
+         "first line must be the 'n m' header: two non-negative integers;"
+         " line 1 has '3.0'"),
+        (weighted_from_text, "3 1\n# u v w\n0 1 2.5\n",
+         "line 3: '2.5' is not an integer"),
+        (profile_from_text, "two 1\n0 1\n",
+         "first line must be the 'n k' header: two non-negative integers;"
+         " line 1 has 'two'"),
+        (profile_from_text, "2 2\n0 1\n1 zero\n",
+         "line 3: 'zero' is not an integer"),
+    ],
+    ids=["digraph-header", "digraph-body", "digraph-before-range-check",
+         "weighted-header", "weighted-body", "profile-header", "profile-body"],
+)
+def test_readers_name_a_non_integer_token_and_its_line(reader, text, message):
+    # tokens are read before any other check, so a non-integer is reported
+    # even after an earlier line with an out-of-range id
+    with pytest.raises(ValueError) as exc:
+        reader(text)
+    assert str(exc.value) == message
+
+
 def test_weighted_text_rejects_repeated_arc():
     with pytest.raises(ValueError, match=r"arc \(0, 1\) listed twice"):
         weighted_from_text("2 2\n0 1 3\n0 1 2\n")

@@ -144,25 +144,17 @@ def test_decode_rejects_a_cyclic_voter():
         _, vm = encode_check_k(transitive, 1, mode=mode)
         model = _model_ranking(vm, [[(0, 1), (1, 2), (2, 0)]])
         with pytest.raises(ModelInconsistencyError, match="not transitive"):
-            decode_model(model, vm, 3, 1)
+            decode_model(model, vm)
 
 
 def test_decode_rejects_both_directions_in_faithful_mode():
     transitive = Digraph.from_arcs(3, [(0, 1), (1, 2), (0, 2)])
     _, vm = encode_check_k(transitive, 1, mode="paper_faithful")
     model = _model_ranking(vm, [[(0, 1), (1, 2), (0, 2)]])
-    assert decode_model(model, vm, 3, 1).voters == ((0, 1, 2),)
+    assert decode_model(model, vm).voters == ((0, 1, 2),)
     model[vm.preference_literal(0, 2, 1)] = True
     with pytest.raises(ModelInconsistencyError, match="inconsistently"):
-        decode_model(model, vm, 3, 1)
-
-
-def test_decode_rejects_a_foreign_shape():
-    f, vm = encode_check_k(TOURNAMENT_5, 3)
-    model = solve(f).model
-    for n, k in ((4, 3), (5, 1), (6, 5)):
-        with pytest.raises(ValueError, match="built for n=5, k=3"):
-            decode_model(model, vm, n, k)
+        decode_model(model, vm)
 
 
 def test_solve_trivial_formulas():
@@ -185,7 +177,7 @@ def test_three_cycle_is_3_inducible_via_solver():
     f, vm = encode_check_k(cyc, 3)
     res = solve(f)
     assert res.is_sat
-    p = decode_model(res.model, vm, 3, 3)
+    p = decode_model(res.model, vm)
     assert induces(p, cyc)
 
 
@@ -199,7 +191,7 @@ def test_round_trip_on_random_instances(mode, rng):
         res = solve(f)
         if res.is_sat:
             hits += 1
-            p = decode_model(res.model, vm, g.n, k)
+            p = decode_model(res.model, vm)
             assert p.k == k
             assert induces(p, g)
     assert hits > 5  # the sample must actually exercise the SAT branch

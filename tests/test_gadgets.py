@@ -55,7 +55,7 @@ def random_ordered_formula(rng) -> ThreeCnf:
             rng, rng.randrange(2, 7), rng.randrange(1, 7), exactly_three=True
         )
         nudged = ThreeCnf.of(
-            f.variables,
+            f.num_vars,
             sorted(f.clauses, key=lambda c: sum(lit < 0 for lit in c)),
         )
         if nudged.is_ordered:

@@ -103,7 +103,7 @@ def test_random_three_cnf_against_truth_tables():
     verdicts = set()
     for _ in range(60):
         nv = rng.randrange(4, 13)
-        f = random_three_cnf(rng, nv, rng.randrange(nv, 6 * nv)).to_cnf()
+        f = random_three_cnf(rng, nv, rng.randrange(nv, 6 * nv))
         expected = brute_force_sat(f)
         verdicts.add(expected)
         for result in both_routes(f):
@@ -167,7 +167,7 @@ def test_threads_solve_side_by_side():
     rng = random.Random(3)
     formulas = []
     while len(formulas) < 4:
-        f = random_three_cnf(rng, 40, 120).to_cnf()
+        f = random_three_cnf(rng, 40, 120)
         if f not in formulas:
             formulas.append(f)
     results = [None] * 4

@@ -4,7 +4,16 @@ import random
 
 import pytest
 
-from majdim import ThreeCnf, brute_force_sat, random_three_cnf, to_ordered3, to_reducedfew
+from majdim import (
+    CnfFormula,
+    ThreeCnf,
+    brute_force_sat,
+    random_three_cnf,
+    solve,
+    to_ordered3,
+    to_reducedfew,
+)
+from majdim.cnf import from_dimacs, to_dimacs
 
 
 def test_three_cnf_validation():
@@ -18,6 +27,10 @@ def test_three_cnf_validation():
         ThreeCnf.of(3, [(0, 1, 2)])  # zero literal
     with pytest.raises(ValueError, match="negative variable count"):
         ThreeCnf.of(-1, [])
+    with pytest.raises(ValueError, match="empty clause"):
+        ThreeCnf.of(3, [(1, 2), ()])
+    with pytest.raises(ValueError, match="1..3 literals"):
+        ThreeCnf.of(4, [(1, -2, 3, 4)])
     ThreeCnf.of(3, [(1, -2, 3), (-1, 2)])  # widths 2 and 3 are fine
 
 
@@ -81,9 +94,7 @@ def test_reducedfew_output_is_reduced():
 def _solver_sat(g):
     # transformed outputs overflow the truth-table cap; the SAT backend
     # (validated independently against exhaustive search) decides them
-    from majdim import solve
-
-    return solve(g.to_cnf()).is_sat
+    return solve(g).is_sat
 
 
 def test_transforms_preserve_satisfiability():
@@ -114,7 +125,7 @@ def test_transforms_preserve_truth_table_verdicts():
         f = random_three_cnf(rng, 3, 2, exactly_three=rng.random() < 0.5)
         g = to_ordered3(f)
         h = to_reducedfew(f)
-        if g.variables > 20 or h.variables > 20:
+        if g.num_vars > 20 or h.num_vars > 20:
             continue
         checked += 1
         verdict = brute_force_sat(f)
@@ -129,3 +140,21 @@ def test_transforms_compose():
         g = to_reducedfew(to_ordered3(f))
         assert g.is_reduced_few
         assert _solver_sat(g) == brute_force_sat(f)
+
+
+def test_rewrites_feed_dimacs_and_the_solver_directly():
+    # a ThreeCnf is a CnfFormula, so the rewrites' output needs no conversion
+    rng = random.Random(11)
+    checked = 0
+    while checked < 30:
+        f = random_three_cnf(
+            rng, 3, rng.randrange(1, 4), exactly_three=rng.random() < 0.5
+        )
+        for g in (to_ordered3(f), to_reducedfew(f)):
+            assert isinstance(g, CnfFormula)
+            back = from_dimacs(to_dimacs(g))
+            assert (back.num_vars, back.clauses) == (g.num_vars, g.clauses)
+            if g.num_vars > 20:
+                continue
+            checked += 1
+            assert solve(g).is_sat == brute_force_sat(g) == brute_force_sat(f)
